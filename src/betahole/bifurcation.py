@@ -11,9 +11,9 @@ beta -> alpha(beta) is an order isomorphism.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DegenerateFarey, NotFarey, NotFareyReflection,
-                     NotInQ, NotLyndon, NotMaximalRotation,
-                     UndecidableAtPrecision)
+from .errors import (CertificateFailed, DegenerateFarey, NotFarey,
+                     NotFareyReflection, NotInQ, NotLyndon,
+                     NotMaximalRotation, UndecidableAtPrecision)
 from .sequences import EpSequence, lex_compare_ep, is_in_Q
 from .numeric import BetaSpec, iv_le, iv_lt, mp
 from . import words as W
@@ -94,7 +94,10 @@ def farey_interval(a):
     if r in ("0", "1") or not W.is_farey(r):
         raise NotFareyReflection("reflect(%r) = %r is not Farey" % (a, r))
     rec = basic_interval(a)
-    assert rec.lyndon == a[::-1]
+    if rec.lyndon != a[::-1]:
+        raise CertificateFailed(
+            "Farey reversal certificate failed: Lyndon rotation of %r "
+            "is %r, not its reversal" % (a, rec.lyndon))
     return rec
 
 
@@ -126,7 +129,8 @@ def nesting_relation(i1, i2):
     "disjoint", "first_inside_second" or "second_inside_first".
 
     Decided symbolically on the endpoint alpha-sequences.  A partial
-    overlap would contradict the laminar structure and raises AssertionError.
+    overlap would contradict the laminar structure and raises
+    CertificateFailed.
     """
     l1l2 = lex_compare_ep(i1.alpha_L, i2.alpha_L)
     r1r2 = lex_compare_ep(i1.alpha_R, i2.alpha_R)
@@ -139,8 +143,9 @@ def nesting_relation(i1, i2):
         return "first_inside_second"
     if l1l2 <= 0 and r1r2 >= 0:
         return "second_inside_first"
-    raise AssertionError(
-        "intervals %s and %s overlap without nesting" %
+    raise CertificateFailed(
+        "laminarity certificate failed: intervals %s and %s overlap "
+        "without nesting" %
         (i1.generator, i2.generator))
 
 
@@ -169,7 +174,10 @@ def doubling_interval(w):
         raise NotFarey("%r is not a Farey word" % w)
     q_R = pi2_fraction(EpSequence("", w))
     q_L = pi2_fraction(EpSequence("", w[::-1])) - Fraction(1, 2)
-    assert q_L < q_R
+    if not q_L < q_R:
+        raise CertificateFailed(
+            "doubling interval certificate failed: q_L = %s is not below "
+            "q_R = %s for %r" % (q_L, q_R, w))
     return DoublingInterval(w, q_L, q_R)
 
 

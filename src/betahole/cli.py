@@ -27,7 +27,7 @@ def domain_errors(f):
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except (BetaHoleError, ValueError, AssertionError) as e:
+        except (BetaHoleError, ValueError) as e:
             click.echo("error: %s" % e, err=True)
             sys.exit(1)
     return wrapper

@@ -4,16 +4,18 @@ family, left-endpoint emptiness, and the TauReport regimes.
 """
 
 from dataclasses import dataclass, field
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from functools import lru_cache
 
-from .errors import (AtlasInconclusive, FinitenessCertificateFailed,
-                     NotFareyReflection)
+from .errors import (AtlasInconclusive, CertificateFailed,
+                     FinitenessCertificateFailed, NotFareyReflection)
 from .sequences import EpSequence, lex_compare_ep
 from .survivor import LexSubshift, SubshiftAutomaton, compile
 from . import bifurcation as B
 from . import words as W
 from . import numeric as N
-from .numeric import iv, mp, iv_lt, iv_le, iv_mid
+from .numeric import (iv, mp, iv_float_down, iv_float_up, iv_lt, iv_le,
+                      iv_mid)
 
 
 def _require_farey_generator(a):
@@ -130,8 +132,12 @@ def t_n_family(a, n):
     t = EpSequence("", per)
     top = EpSequence("", a)
     for s in t.shifts():
-        assert lex_compare_ep(t, s) <= 0, "shift below t_N"
-        assert lex_compare_ep(s, top) < 0, "shift reaches (a)^inf"
+        if lex_compare_ep(t, s) > 0:
+            raise CertificateFailed(
+                "t_N certificate failed: shift %s lies below t_N" % s)
+        if lex_compare_ep(s, top) >= 0:
+            raise CertificateFailed(
+                "t_N certificate failed: shift %s reaches (%s)^inf" % (s, a))
     return t
 
 
@@ -203,7 +209,7 @@ def tau_report(beta, atlas_depth=10):
         a = recs[i].generator
         return TauReport(
             beta, "left_endpoint",
-            float(mp.mpf(one_minus.a)), float(mp.mpf(one_minus.b)),
+            iv_float_down(one_minus), iv_float_up(one_minus),
             {"generator": a, "hole_expansion": a[::-1] + "(0)"},
             atlas_depth, True)
     if loc is not None:
@@ -225,21 +231,21 @@ def tau_report(beta, atlas_depth=10):
                 low_regime = True
         if low_regime:
             return TauReport(beta, "inside_farey_low",
-                             float(mp.mpf(tsv.a)), float(mp.mpf(tsv.b)),
+                             iv_float_down(tsv), iv_float_up(tsv),
                              wit, atlas_depth, True)
         return TauReport(beta, "inside_farey_high",
-                         float(mp.mpf(tsv.a)), float(mp.mpf(tdv.b)),
+                         iv_float_down(tsv), iv_float_up(tdv),
                          wit, atlas_depth, True)
     # outside every atlas interval at this depth
     gap = _gap_width(beta, recs)
     if gap is not None and gap < 1e-6:
         return TauReport(beta, "outside_closure",
-                         float(mp.mpf(one_minus.a)),
-                         float(mp.mpf(one_minus.b)),
+                         iv_float_down(one_minus),
+                         iv_float_up(one_minus),
                          {"gap": gap}, atlas_depth, False,
                          "atlas-depth limited")
     return TauReport(beta, "outside_closure",
-                     0.0, float(mp.mpf(one_minus.b)),
+                     0.0, iv_float_up(one_minus),
                      {"gap": gap}, atlas_depth, False,
                      "inconclusive: atlas gap exceeds tolerance")
 
@@ -268,14 +274,22 @@ def _gap_width(beta, recs):
     return right - left
 
 
+def _fixed(x, digits, rounding):
+    """x in fixed notation with `digits` decimals, rounded in the given
+    direction from the exact binary value of the float x."""
+    exp = Decimal(1).scaleb(-digits)
+    ctx = Context(prec=max(28, digits + 2))
+    return "{:f}".format(Decimal(x).quantize(exp, rounding, ctx))
+
+
 def tau_json(report, digits=12):
-    fmt = "%%.%df" % digits
+    """JSON-ready report; the bracket is rounded outward at `digits`."""
     return {
         "beta": ("@%s" % report.beta.alpha if report.beta.symbolic
                  else mp.nstr(iv_mid(report.beta.value), 17)),
         "regime": report.regime,
-        "tau_lower": fmt % report.tau_lower,
-        "tau_upper": fmt % report.tau_upper,
+        "tau_lower": _fixed(report.tau_lower, digits, ROUND_FLOOR),
+        "tau_upper": _fixed(report.tau_upper, digits, ROUND_CEILING),
         "witness_words": {k: str(v) for k, v in report.witnesses.items()},
         "atlas_depth": report.atlas_depth,
         "certified": report.certified,

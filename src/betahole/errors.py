@@ -61,5 +61,9 @@ class AtlasInconclusive(BetaHoleError):
     """The base lies within bracket width of an atlas interval boundary."""
 
 
-class FinitenessCertificateFailed(BetaHoleError):
+class CertificateFailed(BetaHoleError):
+    """A certificate that a result relies on did not check out."""
+
+
+class FinitenessCertificateFailed(CertificateFailed):
     """The automaton certificate for finiteness of a bounded subshift failed."""

@@ -9,6 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import iv, mp
+from mpmath.libmp import round_ceiling, round_floor, to_float
 
 from .errors import NotInQ, OutOfRange, UndecidableAtPrecision
 from .sequences import EpSequence
@@ -55,6 +56,16 @@ def iv_le(a, b):
 
 def iv_mid(a):
     return mp.mpf((mp.mpf(a.a) + mp.mpf(a.b)) / 2)
+
+
+def iv_float_down(a):
+    """Largest float at or below the lower end of the interval a."""
+    return to_float(a._mpi_[0], rnd=round_floor)
+
+
+def iv_float_up(a):
+    """Smallest float at or above the upper end of the interval a."""
+    return to_float(a._mpi_[1], rnd=round_ceiling)
 
 
 def iv_width(a):
@@ -147,26 +158,31 @@ def beta_from_alpha(alpha, tol=None):
 
     Certified bisection on the strictly decreasing map
     beta -> pi_beta(alpha); returns an interval of width below tol
-    (default 2^-100) containing the root.
+    (default 2^-100) containing the root.  The bisection runs at 128 bits
+    whatever mp.prec is, and stops early when the midpoint no longer
+    splits the bracket.
     """
     if not S.is_in_Q(alpha):
         raise NotInQ("%s is not a quasi-greedy expansion of 1" % alpha)
     if alpha == S.ONES:
         return iv.mpf(2)
-    if tol is None:
-        tol = mp.mpf(2) ** -100
-    lo, hi = mp.mpf(1) + mp.mpf(2) ** -60, mp.mpf(2)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        val = project(alpha, iv.mpf(mid))
-        if val.a > 1:
-            # pi_beta(alpha) still above 1: beta too small
-            lo = mid
-        elif val.b < 1:
-            hi = mid
-        else:
-            break
-    return iv.mpf([lo, hi])
+    with mp.workprec(128):
+        if tol is None:
+            tol = mp.mpf(2) ** -100
+        lo, hi = mp.mpf(1) + mp.mpf(2) ** -60, mp.mpf(2)
+        while hi - lo > tol:
+            mid = (lo + hi) / 2
+            if mid == lo or mid == hi:
+                break
+            val = project(alpha, iv.mpf(mid))
+            if val.a > 1:
+                # pi_beta(alpha) still above 1: beta too small
+                lo = mid
+            elif val.b < 1:
+                hi = mid
+            else:
+                break
+        return iv.mpf([lo, hi])
 
 
 def alpha_of_beta(beta, n=DEFAULT_HORIZON, detect_period=True):

@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import log2
 
-import numpy as np
-
-from .errors import StateCapExceeded, TooLarge
+from .errors import CertificateFailed, StateCapExceeded, TooLarge
 from .sequences import EpSequence, lex_compare_ep
 from . import numeric as N
 from .numeric import BetaSpec, iv, mp
@@ -108,17 +106,17 @@ class SubshiftAutomaton:
         return len(self.transitions)
 
     def count_paths(self, n):
-        v = np.zeros(len(self.transitions), dtype=object)
+        v = [0] * len(self.transitions)
         v[self.start] = 1
         for _ in range(n):
-            w = np.zeros_like(v)
-            for s, row in enumerate(self.transitions):
-                if v[s]:
+            w = [0] * len(v)
+            for c, row in zip(v, self.transitions):
+                if c:
                     for nxt in row:
                         if nxt is not None:
-                            w[nxt] += v[s]
+                            w[nxt] += c
             v = w
-        return int(v.sum())
+        return sum(v)
 
     def live_states(self):
         """States with arbitrarily long outgoing paths (can reach a cycle)."""
@@ -235,38 +233,43 @@ class EntropyBracket:
 
 def _scc_spectral_radius(auto, comp, tol=1e-9, max_iter=20000):
     """Certified bracket for the largest eigenvalue of the adjacency matrix
-    restricted to one strongly connected component.
+    restricted to one strongly connected component of two or more states.
 
-    Power iteration on A+I with Collatz-Wielandt min/max ratio bounds;
-    A+I is primitive on a strongly connected graph, so both bounds
-    converge to the eigenvalue.
+    Sparse power iteration on B = A + I, which is primitive on a strongly
+    connected graph.  Each state keeps its (at most two) successors in the
+    component, padded with a sentinel slot that always holds 0.0, so a
+    step is y_i = x_i + x[a_i] + x[b_i].  Every 50th step is a checkpoint:
+    the Collatz-Wielandt min and max of (Bx)_i / x_i bracket the Perron
+    root of B for any positive x, and x is renormalised.  The 49 steps in
+    between grow entries by at most 3^49, far from overflow.  Under power
+    iteration the bounds are monotone, so the newest checkpoint is the
+    tightest; the bracket is padded by 1e-12 for float rounding.
     """
     idx = {s: i for i, s in enumerate(comp)}
     k = len(comp)
-    B = np.zeros((k, k))
-    has_edge = False
+    succ_a, succ_b = [], []
     for s in comp:
-        for t in auto.transitions[s]:
-            if t is not None and t in idx:
-                B[idx[s], idx[t]] += 1.0
-                has_edge = True
-    if not has_edge:
-        return 0.0, 0.0
-    if (B.sum(axis=1) == 1).all() and (B.sum(axis=0) == 1).all():
-        # bare cycle: spectral radius exactly 1
+        succ = [idx[t] for t in auto.transitions[s] if t in idx] + [k, k]
+        succ_a.append(succ[0])
+        succ_b.append(succ[1])
+    if all(b == k for b in succ_b):
+        # one successor per state: a bare cycle, spectral radius exactly 1
         return 1.0, 1.0
-    B = B + np.eye(k)
-    x = np.ones(k)
+    x = [1.0] * k + [0.0]
     best_lo, best_hi = 0.0, float("inf")
     done = 0
     while done < max_iter:
-        for _ in range(50):
-            y = B @ x
-            ratios = y / x
-            best_lo = max(best_lo, ratios.min())
-            best_hi = min(best_hi, ratios.max())
-            x = y / y.max()
-            done += 1
+        for _ in range(49):
+            x = [xi + x[a] + x[b] for xi, a, b in zip(x, succ_a, succ_b)]
+            x.append(0.0)
+        y = [xi + x[a] + x[b] for xi, a, b in zip(x, succ_a, succ_b)]
+        ratios = [yi / xi for yi, xi in zip(y, x)]
+        best_lo = max(best_lo, min(ratios))
+        best_hi = min(best_hi, max(ratios))
+        top = max(y)
+        x = [yi / top for yi in y]
+        x.append(0.0)
+        done += 50
         if best_hi - best_lo < tol:
             break
     lam_lo = max(best_lo - 1.0 - 1e-12, 0.0)
@@ -433,5 +436,7 @@ def dimension(beta, t, horizon=N.DEFAULT_HORIZON, cap=10 ** 6):
     dim_lo = min(max(h_lo / float(mp.mpf(lb.b)), 0.0), 1.0)
     dim_hi = min(max(h_hi / float(mp.mpf(lb.a)), 0.0), 1.0)
     if dim_hi < dim_lo:
-        dim_lo, dim_hi = dim_hi, dim_lo
+        raise CertificateFailed(
+            "dimension bracket certificate failed: lower %r above upper %r"
+            % (dim_lo, dim_hi))
     return DimensionReport(h_lo, h_hi, dim_lo, dim_hi, method, empty)

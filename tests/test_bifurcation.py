@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from betahole.errors import (NotFarey, NotFareyReflection, NotInQ,
-                             NotLyndon, NotMaximalRotation)
+from betahole.errors import (CertificateFailed, NotFarey,
+                             NotFareyReflection, NotInQ, NotLyndon,
+                             NotMaximalRotation)
 from betahole.sequences import EpSequence
 from betahole.numeric import BetaSpec, iv_mid
 from betahole import bifurcation as B
@@ -104,6 +105,11 @@ def test_nesting_relation():
     r1101 = B.basic_interval(W.max_rotation("0111"))
     rel = B.nesting_relation(r1101, r110)
     assert rel in ("first_inside_second", "disjoint")
+    # a partial overlap breaks laminarity: a named certificate error
+    first = B.IntervalRecord("x", "x", E("(100)"), E("(110)"), "basic")
+    second = B.IntervalRecord("y", "y", E("(101)"), E("(1110)"), "basic")
+    with pytest.raises(CertificateFailed, match="laminarity"):
+        B.nesting_relation(first, second)
 
 
 def test_basic_intervals_nested_or_disjoint_up_to_8():

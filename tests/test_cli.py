@@ -1,10 +1,12 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 from click.testing import CliRunner
 
 from betahole.cli import main
+from betahole.sequences import EpSequence
 
 
 def run(*args):
@@ -104,6 +106,32 @@ def test_tau_json():
     doc = json.loads(r.output)
     assert doc["regime"].startswith("inside_farey")
     assert doc["witness_words"]["generator"] == "10"
+
+
+def exact_value(seq, beta):
+    """sum seq_i / beta^i in exact rational arithmetic."""
+    r = 1 / beta
+    head = sum(r ** (i + 1) for i, d in enumerate(seq.pre) if d == "1")
+    cycle = sum(r ** (i + 1) for i, d in enumerate(seq.per) if d == "1")
+    k, p = len(seq.pre), len(seq.per)
+    return head + r ** k * cycle / (1 - r ** p)
+
+
+def test_tau_bounds_are_rounded_outward():
+    # 1.55 once printed tau_upper 0.268537, below t_diamond = 1/1.55^3
+    for beta_s in ["1.55", "1.3", "1.7", "1.9"]:
+        beta = Fraction(beta_s)
+        for digits in ["6", "12"]:
+            doc = json.loads(run("tau", "--beta", beta_s,
+                                 "--digits", digits).output)
+            assert doc["regime"].startswith("inside_farey"), beta_s
+            w = doc["witness_words"]
+            t_star = exact_value(EpSequence.parse(w["t_star"]), beta)
+            top = t_star
+            if doc["regime"] == "inside_farey_high":
+                top = exact_value(EpSequence.parse(w["t_diamond"]), beta)
+            assert Fraction(doc["tau_lower"]) <= t_star, (beta_s, digits)
+            assert top <= Fraction(doc["tau_upper"]), (beta_s, digits)
 
 
 def test_isolated_zset_classify():

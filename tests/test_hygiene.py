@@ -1,0 +1,32 @@
+"""Package hygiene: a light import path and certificates that survive -O."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import betahole
+
+PKG = Path(betahole.__file__).resolve().parent
+
+
+def test_cli_import_does_not_load_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PKG.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, betahole.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips asserts, so certificates must raise explicitly
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

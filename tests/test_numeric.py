@@ -1,5 +1,6 @@
 """Certified expansions, root solving and projections."""
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,31 @@ def test_beta_from_alpha_known_roots():
     assert abs(mid(N.beta_from_alpha(EpSequence.parse("(110)"))) - TRIB) < 1e-9
     two = N.beta_from_alpha(EpSequence.parse("(1)"))
     assert mp.mpf(two.a) == 2 and mp.mpf(two.b) == 2
+
+
+def test_beta_from_alpha_ends_at_low_working_precision():
+    def timeout(signum, frame):
+        raise TimeoutError("beta_from_alpha did not return")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with mp.workprec(53):
+            # bypass the cache so the solve really runs at 53 bits
+            b = N.beta_from_alpha.__wrapped__(EpSequence.parse("(110)"))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+    def exact(x):
+        man, exp = mp.mpf(x).man_exp
+        return Fraction(man) * Fraction(2) ** exp
+
+    def p(x):
+        # alpha = (110)^inf: beta is the root of beta^3 - beta^2 - beta - 1
+        return x ** 3 - x ** 2 - x - 1
+
+    assert p(exact(b.a)) < 0 < p(exact(b.b))
 
 
 def test_beta_from_alpha_rejects_non_Q():

@@ -2,14 +2,15 @@
 
 import math
 import random
+from itertools import product
 
 import pytest
 
-from betahole.sequences import EpSequence, lex_compare_ep
+from betahole.sequences import EpSequence, is_in_Q, lex_compare_ep
 from betahole.survivor import (LexSubshift, PointSpec, compile, count_words,
                                count_words_brute, dimension, entropy,
                                membership, reduce_upper)
-from betahole.numeric import BetaSpec
+from betahole.numeric import BetaSpec, beta_from_alpha, iv
 
 E = EpSequence.parse
 
@@ -37,6 +38,22 @@ def test_golden_mean_entropy():
     assert br.lower_bound <= h <= br.upper_bound
     assert br.upper_bound - br.lower_bound < 1e-9
     assert br.method == "automaton_exact"
+
+
+def test_beta_shift_entropy_is_log_beta():
+    """Parry: the beta-shift {x : every shift of x < alpha(beta)} has
+    entropy log2(beta).  Checked for every periodic alpha in Q with period
+    at most 10, against beta solved from alpha as a certified interval."""
+    alphas = {EpSequence("", "".join(w))
+              for p in range(1, 11) for w in product("01", repeat=p)}
+    alphas = sorted((a for a in alphas if is_in_Q(a)), key=str)
+    assert len(alphas) > 100
+    for a in alphas:
+        log_beta = iv.log(beta_from_alpha(a)) / iv.log(iv.mpf(2))
+        br = entropy(LexSubshift(E("(0)"), a))
+        assert br.lower_bound <= log_beta.b, a
+        assert log_beta.a <= br.upper_bound, a
+        assert br.upper_bound - br.lower_bound < 1e-8, a
 
 
 def test_two_cycle_shift_has_entropy_zero():
