@@ -252,10 +252,7 @@ def tau_report(beta, atlas_depth=10):
 
 def _gap_width(beta, recs):
     """Width of the atlas gap around a numeric beta (None if unbounded)."""
-    if beta.symbolic:
-        b = beta.value
-    else:
-        b = beta.value
+    b = beta.value
     left = None
     right = None
     for r in recs:

@@ -1,15 +1,16 @@
-"""Certified interval arithmetic for bases, expansions and projections.
+"""Certified arithmetic for bases, expansions and projections.
 
-All numeric work goes through mpmath's interval type at 128-bit precision,
-so every comparison is either certified or reported as undecided rather
-than silently trusting rounding.
+Root solves for beta(alpha) are exact integer sign tests.  Expansions and
+projections go through mpmath's interval type at 128-bit precision, so
+every comparison is either certified or reported as undecided rather than
+silently trusting rounding.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import iv, mp
-from mpmath.libmp import round_ceiling, round_floor, to_float
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor, to_float
 
 from .errors import NotInQ, OutOfRange, UndecidableAtPrecision
 from .sequences import EpSequence
@@ -20,6 +21,9 @@ mp.prec = 128
 
 #: default number of expansion digits computed before giving up
 DEFAULT_HORIZON = 96
+
+#: beta_from_alpha returns brackets exactly 2^-ROOT_BITS wide
+ROOT_BITS = 100
 
 
 def to_iv(x):
@@ -66,10 +70,6 @@ def iv_float_down(a):
 def iv_float_up(a):
     """Smallest float at or above the upper end of the interval a."""
     return to_float(a._mpi_[1], rnd=round_ceiling)
-
-
-def iv_width(a):
-    return float(mp.mpf(a.b) - mp.mpf(a.a))
 
 
 def greedy_digits(x, beta, n=DEFAULT_HORIZON):
@@ -152,37 +152,52 @@ def project_word(w, beta):
     return val
 
 
+def _sign_polynomial(alpha):
+    """Integer coefficients, constant term first, of
+    F(x) = (x^p - 1)(A(x) - x^k) + C(x), where A and C are the digit
+    polynomials of alpha's preperiod (length k) and period (length p).
+
+    F(x) = x^k (x^p - 1)(pi_x(alpha) - 1), so for x > 1 it has the sign
+    of pi_x(alpha) - 1."""
+    p = len(alpha.per)
+    f = [0] * (len(alpha.pre) + p + 1)
+    for i, c in enumerate([int(d) for d in reversed(alpha.pre)] + [-1]):
+        f[i + p] += c   # (x^p - 1)(A(x) - x^k)
+        f[i] -= c
+    for i, d in enumerate(reversed(alpha.per)):
+        f[i] += int(d)
+    return f
+
+
 @lru_cache(maxsize=None)
-def beta_from_alpha(alpha, tol=None):
+def beta_from_alpha(alpha):
     """Base beta in (1,2] whose quasi-greedy expansion of 1 is alpha.
 
-    Certified bisection on the strictly decreasing map
-    beta -> pi_beta(alpha); returns an interval of width below tol
-    (default 2^-100) containing the root.  The bisection runs at 128 bits
-    whatever mp.prec is, and stops early when the midpoint no longer
-    splits the bracket.
+    Bisection over the dyadic points m/2^ROOT_BITS of [1, 2]: each step
+    takes the exact sign of the integer polynomial F(m/2^ROOT_BITS) *
+    2^(ROOT_BITS * deg F) (see _sign_polynomial), evaluated by Horner's
+    rule on Python ints.  Returns the interval of width exactly
+    2^-ROOT_BITS that contains the root; its ends are exact whatever
+    iv.prec and mp.prec are.
     """
     if not S.is_in_Q(alpha):
         raise NotInQ("%s is not a quasi-greedy expansion of 1" % alpha)
     if alpha == S.ONES:
         return iv.mpf(2)
-    with mp.workprec(128):
-        if tol is None:
-            tol = mp.mpf(2) ** -100
-        lo, hi = mp.mpf(1) + mp.mpf(2) ** -60, mp.mpf(2)
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            if mid == lo or mid == hi:
-                break
-            val = project(alpha, iv.mpf(mid))
-            if val.a > 1:
-                # pi_beta(alpha) still above 1: beta too small
-                lo = mid
-            elif val.b < 1:
-                hi = mid
-            else:
-                break
-        return iv.mpf([lo, hi])
+    f = _sign_polynomial(alpha)[::-1]
+    lo, hi = 1 << ROOT_BITS, 2 << ROOT_BITS
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        v = 0
+        for j, c in enumerate(f):
+            v = v * mid + (c << (ROOT_BITS * j))
+        if v > 0:
+            # pi_x(alpha) still above 1 at x = mid/2^ROOT_BITS: x < beta
+            lo = mid
+        else:
+            hi = mid
+    return iv.make_mpf((from_man_exp(lo, -ROOT_BITS),
+                        from_man_exp(hi, -ROOT_BITS)))
 
 
 def alpha_of_beta(beta, n=DEFAULT_HORIZON, detect_period=True):

@@ -107,18 +107,6 @@ def lex_compare_ep(u, v):
     return 0
 
 
-def compare_word_prefix(w, s):
-    """Compare the word w against the first len(w) digits of sequence s.
-
-    Returns -1/0/1; 0 means the window is inconclusive (digits equal)."""
-    p = s.prefix(len(w))
-    if w < p:
-        return -1
-    if w > p:
-        return 1
-    return 0
-
-
 def is_in_Q(a):
     """True iff a is the quasi-greedy expansion of 1 for some base in (1,2]:
     it does not end in zeros and dominates all of its shifts."""

@@ -1,12 +1,16 @@
 """Certified expansions, root solving and projections."""
 
+import random
 import signal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from mpmath.libmp import to_rational
+
 from betahole.errors import NotInQ, OutOfRange
-from betahole.sequences import EpSequence
+from betahole.sequences import EpSequence, is_in_Q, ONES
 from betahole import numeric as N
 from betahole.numeric import BetaSpec, iv, mp
 
@@ -48,6 +52,70 @@ def test_beta_from_alpha_ends_at_low_working_precision():
         return x ** 3 - x ** 2 - x - 1
 
     assert p(exact(b.a)) < 0 < p(exact(b.b))
+
+
+def exact_ends(b):
+    """The two ends of the interval b as Fractions, read from its bits
+    (independent of the working precision)."""
+    return tuple(Fraction(*to_rational(e)) for e in b._mpi_)
+
+
+def pi_exact(a, x):
+    """pi_x(a) for an eventually periodic a and rational x > 1."""
+    head = sum(Fraction(int(d)) / x ** (i + 1) for i, d in enumerate(a.pre))
+    tail = sum(Fraction(int(d)) / x ** (i + 1) for i, d in enumerate(a.per))
+    return head + tail / x ** len(a.pre) / (1 - 1 / x ** len(a.per))
+
+
+def test_beta_from_alpha_exact_at_53_bits():
+    old = iv.prec, mp.prec
+    iv.prec = mp.prec = 53
+    try:
+        # bypass the cache so the solve really runs at 53 bits
+        b = N.beta_from_alpha.__wrapped__(EpSequence("", "110"))
+        lo, hi = exact_ends(b)
+        assert hi - lo == Fraction(1, 2 ** 100)
+        # alpha = (110)^inf: beta is the root of beta^3 - beta^2 - beta - 1
+        assert lo ** 3 - lo ** 2 - lo - 1 < 0 < hi ** 3 - hi ** 2 - hi - 1
+    finally:
+        iv.prec, mp.prec = old
+
+
+def small_Q():
+    """(pre, per) with |pre| <= 3 and |per| <= 8 naming a sequence in Q
+    other than 1^inf."""
+    out = []
+    for k in range(4):
+        for p in range(1, 9):
+            for pre in product("01", repeat=k):
+                for per in product("01", repeat=p):
+                    a = EpSequence("".join(pre), "".join(per))
+                    if a != ONES and is_in_Q(a):
+                        out.append(a)
+    return out
+
+
+def test_beta_from_alpha_exact_containment():
+    """Exact oracle: pi_x(alpha) straddles 1 across every bracket, and
+    every bracket is exactly 2^-100 wide."""
+    seqs = small_Q()
+    assert len(seqs) == 1484
+    for a in set(seqs):
+        lo, hi = exact_ends(N.beta_from_alpha(a))
+        assert hi - lo == Fraction(1, 2 ** 100), a
+        assert pi_exact(a, lo) > 1 > pi_exact(a, hi), a
+
+
+def test_sign_polynomial_matches_projection():
+    """sign F(x) == sign(pi_x(alpha) - 1) at seeded rationals x in (1, 2)."""
+    rng = random.Random(6)
+    seqs = sorted(set(small_Q()), key=str)
+    for _ in range(300):
+        a = rng.choice(seqs)
+        x = 1 + Fraction(rng.randrange(1, 10 ** 6), 10 ** 6)
+        f = sum(c * x ** i for i, c in enumerate(N._sign_polynomial(a)))
+        d = pi_exact(a, x) - 1
+        assert (f > 0) - (f < 0) == (d > 0) - (d < 0), (a, x)
 
 
 def test_beta_from_alpha_rejects_non_Q():
