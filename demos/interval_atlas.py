@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 
 from betahole import atlas, doubling_interval, nesting_relation, phi
-from betahole.numeric import mp
 from betahole.words import reflect
 
 max_len = int(sys.argv[1]) if len(sys.argv) > 1 else 6
@@ -29,8 +28,8 @@ print("basic intervals from generators of length <= %d: %d "
 print("%-10s %-8s %-18s %-18s %s" % (
     "generator", "kind", "beta_L", "beta_R", "alpha on the interval"))
 for rec in records:
-    bl = float(mp.mpf(rec.beta_L.value.a))
-    br = float(mp.mpf(rec.beta_R.value.a))
+    bl = float(rec.beta_L.value.a)
+    br = float(rec.beta_R.value.a)
     print("%-10s %-8s %-18.12f %-18.12f (%s)^inf .. %s" % (
         rec.generator, rec.kind, bl, br, rec.generator, rec.alpha_R))
 

@@ -13,17 +13,16 @@ import math
 import sys
 
 from betahole import BetaSpec, PointSpec, dimension, tau_report
-from betahole.numeric import iv, mp
 
 alpha = sys.argv[1] if len(sys.argv) > 1 else "(10)"
 samples = int(sys.argv[2]) if len(sys.argv) > 2 else 48
 
 beta = BetaSpec.parse("@" + alpha)
-lim = iv.mpf(1) - iv.mpf(1) / beta.value
-tmax = math.nextafter(float(mp.mpf(lim.b)), 1.0)
+lim = 1 - 1 / beta.value
+tmax = math.nextafter(float(lim.b), 1.0)
 
 print("base: beta with quasi-greedy expansion of 1 equal to %s^inf" % alpha)
-print("      beta ~ %.15f" % float(mp.mpf(beta.value.a)))
+print("      beta ~ %.15f" % float(beta.value.a))
 print("sweeping t over [0, 1 - 1/beta], %d samples\n" % samples)
 
 print("%-22s %-12s %-12s %s" % ("t", "dim lower", "dim upper", "bar"))
@@ -43,4 +42,4 @@ rep = tau_report(beta)
 print("\ncritical hole size (dimension first hits zero):")
 print("  regime: %s" % rep.regime)
 print("  tau in [%.15f, %.15f]" % (rep.tau_lower, rep.tau_upper))
-print("  fixed point 1 - 1/beta = %.15f" % float(mp.mpf(lim.a)))
+print("  fixed point 1 - 1/beta = %.15f" % float(lim.a))

@@ -15,7 +15,7 @@ from .errors import (CertificateFailed, DegenerateFarey, NotFarey,
                      NotFareyReflection, NotInQ, NotLyndon,
                      NotMaximalRotation, UndecidableAtPrecision)
 from .sequences import EpSequence, lex_compare_ep, is_in_Q
-from .numeric import BetaSpec, iv_le, iv_lt, mp
+from .numeric import BetaSpec, Interval, iv_le
 from . import words as W
 from . import numeric as N
 
@@ -190,9 +190,8 @@ def phi(beta, horizon=N.DEFAULT_HORIZON):
     if seq is not None:
         return pi2_fraction(seq)
     digits, _ = beta.alpha_prefix(horizon)
-    lo = N.to_iv(pi2_fraction(EpSequence(digits, "0")))
-    hi = N.to_iv(pi2_fraction(EpSequence(digits, "1")))
-    return N.iv.mpf([lo.a, hi.b])
+    return Interval(pi2_fraction(EpSequence(digits, "0")),
+                    pi2_fraction(EpSequence(digits, "1")))
 
 
 def generators(max_len):
@@ -241,8 +240,8 @@ def atlas_json(recs, digits=12):
         out.append({
             "generator": r.generator,
             "lyndon": r.lyndon,
-            "beta_L": mp.nstr(N.iv_mid(r.beta_L.value), digits + 2),
-            "beta_R": mp.nstr(N.iv_mid(r.beta_R.value), digits + 2),
+            "beta_L": r.beta_L.value.nstr(digits + 2),
+            "beta_R": r.beta_R.value.nstr(digits + 2),
             "kind": r.kind,
             "alpha_L": str(r.alpha_L),
             "alpha_R": str(r.alpha_R),

@@ -14,7 +14,7 @@ import click
 
 from .errors import BetaHoleError, OutOfRange
 from .sequences import EpSequence, is_admissible, lex_compare_ep
-from .numeric import BetaSpec, to_iv, iv_mid, mp
+from .numeric import BetaSpec, Interval
 from .survivor import PointSpec, dimension
 from . import words as W
 from . import bifurcation as B
@@ -53,7 +53,7 @@ def main():
 def expand(x, beta_s, n, mode):
     """Digits of the (quasi-)greedy expansion of x in base beta."""
     beta = BetaSpec.parse(beta_s)
-    xv = to_iv(x)
+    xv = Interval(x)
     if mode == "greedy":
         if not (xv.a >= 0 and xv.b < 1):
             raise OutOfRange("greedy expansion needs x in [0,1)")
@@ -93,7 +93,7 @@ def alpha(beta_s, n):
 def solve_beta(alpha_s, digits):
     """Base whose expansion of 1 equals the given sequence."""
     b = N.beta_from_alpha(EpSequence.parse(alpha_s))
-    click.echo(_fmt(float(mp.mpf(iv_mid(b))), digits))
+    click.echo(_fmt(float(b.mid()), digits))
 
 
 @main.command()

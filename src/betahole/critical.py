@@ -14,8 +14,7 @@ from .survivor import LexSubshift, SubshiftAutomaton, compile
 from . import bifurcation as B
 from . import words as W
 from . import numeric as N
-from .numeric import (iv, mp, iv_float_down, iv_float_up, iv_lt, iv_le,
-                      iv_mid)
+from .numeric import float_down, float_up, iv_lt, iv_le
 
 
 def _require_farey_generator(a):
@@ -197,7 +196,7 @@ def tau_report(beta, atlas_depth=10):
     known bracket for the critical hole size tau_beta."""
     if atlas_depth < 2:
         raise ValueError("atlas_depth must be >= 2")
-    one_minus = iv.mpf(1) - iv.mpf(1) / beta.value
+    one_minus = 1 - 1 / beta.value
     if (beta.symbolic and beta.alpha.per == "1") or \
             (not beta.symbolic and beta.value.a == 2):
         return TauReport(beta, "outside_closure", 0.5, 0.5,
@@ -209,7 +208,7 @@ def tau_report(beta, atlas_depth=10):
         a = recs[i].generator
         return TauReport(
             beta, "left_endpoint",
-            iv_float_down(one_minus), iv_float_up(one_minus),
+            float_down(one_minus.a), float_up(one_minus.b),
             {"generator": a, "hole_expansion": a[::-1] + "(0)"},
             atlas_depth, True)
     if loc is not None:
@@ -231,21 +230,21 @@ def tau_report(beta, atlas_depth=10):
                 low_regime = True
         if low_regime:
             return TauReport(beta, "inside_farey_low",
-                             iv_float_down(tsv), iv_float_up(tsv),
+                             float_down(tsv.a), float_up(tsv.b),
                              wit, atlas_depth, True)
         return TauReport(beta, "inside_farey_high",
-                         iv_float_down(tsv), iv_float_up(tdv),
+                         float_down(tsv.a), float_up(tdv.b),
                          wit, atlas_depth, True)
     # outside every atlas interval at this depth
     gap = _gap_width(beta, recs)
     if gap is not None and gap < 1e-6:
         return TauReport(beta, "outside_closure",
-                         iv_float_down(one_minus),
-                         iv_float_up(one_minus),
+                         float_down(one_minus.a),
+                         float_up(one_minus.b),
                          {"gap": gap}, atlas_depth, False,
                          "atlas-depth limited")
     return TauReport(beta, "outside_closure",
-                     0.0, iv_float_up(one_minus),
+                     0.0, float_up(one_minus.b),
                      {"gap": gap}, atlas_depth, False,
                      "inconclusive: atlas gap exceeds tolerance")
 
@@ -259,10 +258,10 @@ def _gap_width(beta, recs):
         rv = r.beta_R.value
         lv = r.beta_L.value
         if iv_le(rv, b):
-            x = float(mp.mpf(rv.b))
+            x = float(rv.b)
             left = x if left is None else max(left, x)
         if iv_le(b, lv):
-            x = float(mp.mpf(lv.a))
+            x = float(lv.a)
             right = x if right is None else min(right, x)
     if left is None:
         left = 1.0
@@ -283,7 +282,7 @@ def tau_json(report, digits=12):
     """JSON-ready report; the bracket is rounded outward at `digits`."""
     return {
         "beta": ("@%s" % report.beta.alpha if report.beta.symbolic
-                 else mp.nstr(iv_mid(report.beta.value), 17)),
+                 else report.beta.value.nstr(17)),
         "regime": report.regime,
         "tau_lower": _fixed(report.tau_lower, digits, ROUND_FLOOR),
         "tau_upper": _fixed(report.tau_upper, digits, ROUND_CEILING),

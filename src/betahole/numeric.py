@@ -1,23 +1,21 @@
 """Certified arithmetic for bases, expansions and projections.
 
-Root solves for beta(alpha) are exact integer sign tests.  Expansions and
-projections go through mpmath's interval type at 128-bit precision, so
-every comparison is either certified or reported as undecided rather than
-silently trusting rounding.
+Every value is exact: a decimal base or hole is a rational number, and a
+base named by its kneading sequence is bracketed between two dyadic
+numbers by an exact integer root solve.  `Interval` carries both kinds as
+closed intervals with `Fraction` ends, so a digit or a comparison is
+either certified or reported as undecided, and no floating-point
+precision is involved anywhere.
 """
 
+import math
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import iv, mp
-from mpmath.libmp import from_man_exp, round_ceiling, round_floor, to_float
-
-from .errors import NotInQ, OutOfRange, UndecidableAtPrecision
+from .errors import NotInQ, OutOfRange
 from .sequences import EpSequence
 from . import sequences as S
-
-iv.prec = 128
-mp.prec = 128
 
 #: default number of expansion digits computed before giving up
 DEFAULT_HORIZON = 96
@@ -25,20 +23,115 @@ DEFAULT_HORIZON = 96
 #: beta_from_alpha returns brackets exactly 2^-ROOT_BITS wide
 ROOT_BITS = 100
 
+#: fixed-point bits of the series behind Interval.log2
+LOG_BITS = 136
 
-def to_iv(x):
-    """Coerce int/float/Fraction/str/interval into an iv.mpf."""
-    if isinstance(x, iv.mpf):
-        return x
-    if isinstance(x, Fraction):
-        return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-    if isinstance(x, float):
-        return iv.mpf(x)
-    if isinstance(x, int):
-        return iv.mpf(x)
-    if isinstance(x, str):
-        return iv.mpf(x)
-    raise TypeError("cannot make an interval from %r" % (x,))
+
+class Interval:
+    """The closed interval [a, b] with exact Fraction ends.
+
+    int, float, str and Fraction operands are coerced to point intervals;
+    + - * / and integer powers return enclosures of every possible result.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b=None):
+        self.a = Fraction(a)
+        self.b = self.a if b is None else Fraction(b)
+
+    @classmethod
+    def _of(cls, x):
+        return x if isinstance(x, cls) else cls(x)
+
+    def __add__(self, other):
+        o = Interval._of(other)
+        return Interval(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = Interval._of(other)
+        return Interval(self.a - o.b, self.b - o.a)
+
+    def __rsub__(self, other):
+        return Interval._of(other) - self
+
+    def __mul__(self, other):
+        o = Interval._of(other)
+        if self.a >= 0 and o.a >= 0:
+            return Interval(self.a * o.a, self.b * o.b)
+        p = (self.a * o.a, self.a * o.b, self.b * o.a, self.b * o.b)
+        return Interval(min(p), max(p))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = Interval._of(other)
+        if o.a <= 0 <= o.b:
+            raise ZeroDivisionError("interval divisor %r contains 0" % (o,))
+        return self * Interval(1 / o.b, 1 / o.a)
+
+    def __rtruediv__(self, other):
+        return Interval._of(other) / self
+
+    def __pow__(self, n):
+        if n < 0:
+            return 1 / self ** -n
+        lo, hi = sorted((self.a ** n, self.b ** n))
+        return Interval(0 if n % 2 == 0 and self.a < 0 < self.b else lo, hi)
+
+    def mid(self):
+        return (self.a + self.b) / 2
+
+    def nstr(self, n):
+        """The midpoint to n significant digits, rounded half up, in
+        fixed notation with trailing zeros stripped down to one decimal."""
+        m, ctx = self.mid(), Context(prec=n, rounding=ROUND_HALF_UP)
+        d = ctx.divide(Decimal(m.numerator), Decimal(m.denominator))
+        s = "{:f}".format(d.normalize(ctx))
+        return s if "." in s else s + ".0"
+
+    def log2(self):
+        """Enclosure of log2 over the interval, for 1 <= a <= b <= 2."""
+        return Interval(*_log2(self.a, self.b))
+
+    def __repr__(self):
+        return "Interval(%s, %s)" % (self.a, self.b)
+
+
+def _half_ln(x, up):
+    """2^LOG_BITS * ln(x) / 2 for a Fraction 1 <= x <= 2, rounded down or
+    (up=True) up: the series atanh z = z + z^3/3 + z^5/5 + ... at
+    z = (x - 1)/(x + 1) <= 1/3, in fixed point with every step rounded
+    the same way.  Each term is at most z^2 <= 1/9 times the one before,
+    so 9/8 of the first dropped term bounds the tail."""
+    one = 1 << LOG_BITS
+
+    def div(p, q):
+        return -(-p // q) if up else p // q
+
+    z = div((x.numerator - x.denominator) << LOG_BITS,
+            x.numerator + x.denominator)
+    z2 = div(z * z, one)
+    total, term, k = 0, z, 1
+    while term > 1:
+        total += div(term, k)
+        term = div(term * z2, one)
+        k += 2
+    return total + div(9 * term, 8 * k) if up else total
+
+
+_HALF_LN2 = (_half_ln(Fraction(2), False), _half_ln(Fraction(2), True))
+
+
+@lru_cache(maxsize=None)
+def _log2(a, b):
+    """Fraction bracket (lo, hi) of log2 over [a, b]."""
+    if not 1 <= a <= b <= 2:
+        raise ValueError("log2 bracket needs 1 <= %s <= %s <= 2" % (a, b))
+    return (Fraction(_half_ln(a, False), _HALF_LN2[1]),
+            Fraction(_half_ln(b, True), _HALF_LN2[0]))
 
 
 def iv_lt(a, b):
@@ -58,18 +151,47 @@ def iv_le(a, b):
     return None
 
 
-def iv_mid(a):
-    return mp.mpf((mp.mpf(a.a) + mp.mpf(a.b)) / 2)
+def float_down(q):
+    """Largest float at or below the rational q."""
+    f = float(q)
+    return math.nextafter(f, -math.inf) if Fraction(f) > q else f
 
 
-def iv_float_down(a):
-    """Largest float at or below the lower end of the interval a."""
-    return to_float(a._mpi_[0], rnd=round_floor)
+def float_up(q):
+    """Smallest float at or above the rational q."""
+    f = float(q)
+    return math.nextafter(f, math.inf) if Fraction(f) < q else f
 
 
-def iv_float_up(a):
-    """Smallest float at or above the upper end of the interval a."""
-    return to_float(a._mpi_[1], rnd=round_ceiling)
+def _expand(x, beta, n, tie, orbit=False):
+    """The digit loop behind greedy_digits, quasi_greedy_digits and
+    survivor.greedy_sequence, for Intervals x in [0, 1] and beta > 1.
+
+    Digit 0 where beta*y < 1, 1 where beta*y > 1 and `tie` where
+    beta*y == 1; it stops uncertified when beta*y straddles a decision.
+    With `orbit`, a point orbit that returns to an earlier point ends it.
+    Returns (digits, certified, the eventually periodic sequence or None).
+    """
+    y = x
+    out = []
+    seen = {}
+    for i in range(n):
+        if orbit and y.a == y.b:
+            if y.a in seen:
+                j = seen[y.a]
+                return "".join(out), True, EpSequence("".join(out[:j]),
+                                                      "".join(out[j:]))
+            seen[y.a] = i
+        c = y * beta
+        if c.b < 1 or (c.b == 1 and tie == "0"):
+            out.append("0")
+            y = c
+        elif c.a > 1 or (c.a == 1 and tie == "1"):
+            out.append("1")
+            y = c - 1
+        else:
+            return "".join(out), False, None
+    return "".join(out), True, None
 
 
 def greedy_digits(x, beta, n=DEFAULT_HORIZON):
@@ -77,79 +199,46 @@ def greedy_digits(x, beta, n=DEFAULT_HORIZON):
 
     Returns (digits, certified): `digits` is a 0/1 string of length at most
     n and `certified` is True when all n digits were decided.  An orbit
-    point landing exactly on the critical value 1/beta (up to interval
-    resolution) stops the certification early.
+    point landing on the critical value 1/beta within the interval
+    resolution stops the certification early; an exact hit takes digit 1.
     """
-    one = iv.mpf(1)
-    y = x
-    out = []
-    for _ in range(n):
-        c = y * beta
-        if c.b < 1:
-            out.append("0")
-            y = c
-        elif c.a >= 1:
-            out.append("1")
-            y = c - one
-        else:
-            return "".join(out), False
-    return "".join(out), True
+    return _expand(x, beta, n, "1")[:2]
 
 
 def quasi_greedy_digits(x, beta, n=DEFAULT_HORIZON):
     """Quasi-greedy expansion digits of x in (0,1] base beta.
 
-    Same contract as greedy_digits; the tie betay == 1 takes digit 1
+    Same contract as greedy_digits; the tie beta*y == 1 takes digit 0
     (keeping the orbit in (0,1]), so the expansion never ends in zeros.
     """
-    one = iv.mpf(1)
-    y = x
-    out = []
-    for _ in range(n):
-        c = y * beta
-        if c.b <= 1:
-            out.append("0")
-            y = c
-        elif c.a > 1:
-            out.append("1")
-            y = c - one
-        else:
-            return "".join(out), False
-    return "".join(out), True
+    return _expand(x, beta, n, "0")[:2]
 
 
 def project(seq, beta):
     """pi_beta(seq) = sum digit_i / beta^i as a certified interval.
 
-    Uses the closed form for the periodic tail, so the result is exact up
-    to interval rounding (no truncation error)."""
-    r = iv.mpf(1) / beta
-    val = iv.mpf(0)
-    p = iv.mpf(1)
+    Uses the closed form for the periodic tail, so there is no truncation
+    error: the result is exact at a point beta."""
+    r = 1 / beta
+    val = Interval(0)
+    p = Interval(1)
     for d in seq.pre:
         p = p * r
         if d == "1":
             val = val + p
-    tail = iv.mpf(0)
-    q = iv.mpf(1)
+    tail = Interval(0)
+    q = Interval(1)
     for d in seq.per:
         q = q * r
         if d == "1":
             tail = tail + q
     rp = r ** len(seq.per)
-    return val + p * tail / (iv.mpf(1) - rp)
+    return val + p * tail / (1 - rp)
 
 
 def project_word(w, beta):
     """Finite sum w_1/beta + ... + w_m/beta^m."""
-    r = iv.mpf(1) / beta
-    val = iv.mpf(0)
-    p = iv.mpf(1)
-    for d in w:
-        p = p * r
-        if d == "1":
-            val = val + p
-    return val
+    return project(EpSequence(w, "0"), beta)
 
 
 def _sign_polynomial(alpha):
@@ -176,14 +265,13 @@ def beta_from_alpha(alpha):
     Bisection over the dyadic points m/2^ROOT_BITS of [1, 2]: each step
     takes the exact sign of the integer polynomial F(m/2^ROOT_BITS) *
     2^(ROOT_BITS * deg F) (see _sign_polynomial), evaluated by Horner's
-    rule on Python ints.  Returns the interval of width exactly
-    2^-ROOT_BITS that contains the root; its ends are exact whatever
-    iv.prec and mp.prec are.
+    rule on Python ints.  Returns the Interval of width exactly
+    2^-ROOT_BITS that contains the root.
     """
     if not S.is_in_Q(alpha):
         raise NotInQ("%s is not a quasi-greedy expansion of 1" % alpha)
     if alpha == S.ONES:
-        return iv.mpf(2)
+        return Interval(2)
     f = _sign_polynomial(alpha)[::-1]
     lo, hi = 1 << ROOT_BITS, 2 << ROOT_BITS
     while hi - lo > 1:
@@ -196,43 +284,23 @@ def beta_from_alpha(alpha):
             lo = mid
         else:
             hi = mid
-    return iv.make_mpf((from_man_exp(lo, -ROOT_BITS),
-                        from_man_exp(hi, -ROOT_BITS)))
+    return Interval(Fraction(lo, 1 << ROOT_BITS),
+                    Fraction(hi, 1 << ROOT_BITS))
 
 
-def alpha_of_beta(beta, n=DEFAULT_HORIZON, detect_period=True):
-    """Quasi-greedy expansion of 1 in base beta.
+def alpha_of_beta(beta, n=DEFAULT_HORIZON):
+    """Quasi-greedy expansion of 1 in base beta (an Interval).
 
-    Returns (digits, certified, seq): seq is an EpSequence when an
-    eventually periodic pattern was detected and confirmed by solving back
-    for beta, else None.
+    Returns (digits, certified, seq): seq is the closed form 1^inf when
+    beta is exactly 2, else None.  A rational beta with an eventually
+    periodic alpha(beta) is a root of a monic integer polynomial, so an
+    algebraic integer, and the only rational one in (1, 2] is 2 (Parry
+    1960); any other closed form is known only from the symbolic alpha
+    that BetaSpec keeps.
     """
-    digits, certified = quasi_greedy_digits(iv.mpf(1), beta, n)
-    seq = None
-    if detect_period and len(digits) >= 8:
-        seq = _detect_period(digits, beta)
+    digits, certified = quasi_greedy_digits(Interval(1), beta, n)
+    seq = S.ONES if beta.a == beta.b == 2 else None
     return digits, certified, seq
-
-
-def _detect_period(digits, beta):
-    n = len(digits)
-    for k in range(0, n // 2):
-        for p in range(1, (n - k) // 2 + 1):
-            per = digits[k:k + p]
-            if per == "0" * p:
-                continue
-            m = n - k
-            if digits[k:] == (per * (m // p + 1))[:m]:
-                try:
-                    cand = EpSequence(digits[:k], per)
-                    if not S.is_in_Q(cand):
-                        continue
-                    b2 = beta_from_alpha(cand)
-                    if b2.a <= beta.b and beta.a <= b2.b:
-                        return cand
-                except (NotInQ, OutOfRange):
-                    continue
-    return None
 
 
 class BetaSpec:
@@ -249,7 +317,7 @@ class BetaSpec:
             self.alpha = alpha
             self.value = beta_from_alpha(alpha)
         else:
-            self.value = to_iv(value)
+            self.value = Interval(value)
             if not (self.value.a > 1 and self.value.b <= 2):
                 raise OutOfRange("base must lie in (1, 2]")
             self.alpha = None
@@ -269,7 +337,7 @@ class BetaSpec:
         """First n digits of alpha(beta), with a certification flag."""
         if self.symbolic:
             return self.alpha.prefix(n), True
-        digits, certified, _ = alpha_of_beta(self.value, n, detect_period=False)
+        digits, certified, _ = alpha_of_beta(self.value, n)
         return digits, certified and len(digits) == n
 
     def alpha_sequence(self, n=DEFAULT_HORIZON):
@@ -279,14 +347,7 @@ class BetaSpec:
         _, _, seq = alpha_of_beta(self.value, n)
         return seq
 
-    def require_digits(self, n):
-        digits, ok = self.alpha_prefix(n)
-        if not ok:
-            raise UndecidableAtPrecision(
-                "could not certify %d digits of the expansion of 1" % n)
-        return digits
-
     def __repr__(self):
         if self.symbolic:
             return "BetaSpec(@%s)" % self.alpha
-        return "BetaSpec(%s)" % mp.nstr(iv_mid(self.value), 17)
+        return "BetaSpec(%s)" % self.value.nstr(17)

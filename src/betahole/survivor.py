@@ -17,7 +17,7 @@ from math import log2
 from .errors import CertificateFailed, StateCapExceeded, TooLarge
 from .sequences import EpSequence, lex_compare_ep
 from . import numeric as N
-from .numeric import BetaSpec, iv, mp
+from .numeric import BetaSpec, Interval
 
 
 @dataclass(frozen=True)
@@ -337,7 +337,7 @@ class PointSpec:
             self.seq = seq
             self.value = None
         else:
-            self.value = N.to_iv(value)
+            self.value = Interval(value)
             self.seq = None
 
     @classmethod
@@ -357,32 +357,12 @@ class PointSpec:
 def greedy_sequence(x, beta, horizon=N.DEFAULT_HORIZON):
     """Greedy expansion with exact-orbit period detection.
 
-    Returns (seq, prefix): seq is an EpSequence when the interval orbit
-    collapses to an exactly recurring point (e.g. hits 0), else None;
+    Returns (seq, prefix): seq is an EpSequence when the orbit is a point
+    that returns exactly to an earlier point (e.g. hits 0), else None;
     prefix is the certified digit prefix either way.
     """
-    one = iv.mpf(1)
-    y = x
-    out = []
-    seen = {}
-    for i in range(horizon):
-        if y.a == y.b:
-            key = mp.mpf(y.a)
-            if key in seen:
-                j = seen[key]
-                return EpSequence("".join(out[:j]), "".join(out[j:])), \
-                    "".join(out)
-            seen[key] = i
-        c = y * beta
-        if c.b < 1:
-            out.append("0")
-            y = c
-        elif c.a >= 1:
-            out.append("1")
-            y = c - one
-        else:
-            break
-    return None, "".join(out)
+    digits, _, seq = N._expand(x, beta, horizon, "1", orbit=True)
+    return seq, digits
 
 
 def alpha_bounds(beta, horizon=N.DEFAULT_HORIZON):
@@ -432,9 +412,9 @@ def dimension(beta, t, horizon=N.DEFAULT_HORIZON, cap=10 ** 6):
         h_lo, h_hi = inner.lower_bound, outer.upper_bound
         method = "automaton_outer_inner"
         empty = outer.empty
-    lb = iv.log(beta.value) / iv.log(iv.mpf(2))
-    dim_lo = min(max(h_lo / float(mp.mpf(lb.b)), 0.0), 1.0)
-    dim_hi = min(max(h_hi / float(mp.mpf(lb.a)), 0.0), 1.0)
+    lb = beta.value.log2()
+    dim_lo = min(max(h_lo / float(lb.b), 0.0), 1.0)
+    dim_hi = min(max(h_hi / float(lb.a), 0.0), 1.0)
     if dim_hi < dim_lo:
         raise CertificateFailed(
             "dimension bracket certificate failed: lower %r above upper %r"

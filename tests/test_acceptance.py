@@ -4,10 +4,11 @@ single PASS/FAIL line (run with -s to see them)."""
 import math
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 from betahole.sequences import EpSequence, lex_compare_ep
-from betahole.numeric import BetaSpec, beta_from_alpha, project, to_iv, iv, mp
+from betahole.numeric import BetaSpec, Interval, beta_from_alpha, project
 from betahole.survivor import (LexSubshift, PointSpec, compile,
                                count_words_brute, dimension)
 from betahole import bifurcation as B
@@ -32,9 +33,9 @@ def test_criterion_02_root_solving():
     g = beta_from_alpha(E("(10)"))
     t = beta_from_alpha(E("(110)"))
     two = beta_from_alpha(E("(1)"))
-    ok = (abs(float(mp.mpf(g.a)) - 1.618033988749895) < 1e-9 and
-          abs(float(mp.mpf(t.a)) - 1.839286755214161) < 1e-9 and
-          mp.mpf(two.a) == 2 and mp.mpf(two.b) == 2)
+    ok = (abs(float(g.a) - 1.618033988749895) < 1e-9 and
+          abs(float(t.a) - 1.839286755214161) < 1e-9 and
+          two.a == 2 and two.b == 2)
     report(2, ok, "golden/tribonacci roots within 1e-9; (1) gives 2 exactly")
 
 
@@ -57,8 +58,8 @@ def test_criterion_04_staircase_reproduction():
     detail = []
     for alpha in ["(10)", "(110)"]:
         beta = BetaSpec.parse("@" + alpha)
-        lim = iv.mpf(1) - iv.mpf(1) / beta.value
-        tmax = math.nextafter(float(mp.mpf(lim.b)), 1.0)
+        lim = 1 - 1 / beta.value
+        tmax = math.nextafter(float(lim.b), 1.0)
         rows = []
         for i in range(64):
             t = tmax * i / 63
@@ -138,20 +139,20 @@ def test_criterion_07_interval_structure():
 
 
 def test_criterion_08_critical_point_bracket():
-    b = to_iv("1.7")
+    b = Interval("1.7")
     beta = BetaSpec.parse("1.7")
     ts = project(C.t_star_sequence("10"), b)
     td = project(C.t_diamond_sequence("10"), b)
-    lim = iv.mpf(1) - iv.mpf(1) / b
+    lim = 1 - 1 / b
     m = 2   # len("10")
     # repaired lower bound (1 - 1/beta)(beta^m - 2)/(beta^m - 1); see
     # test_criterion_08_corrected_lower_bound for why the last term is needed
     lhs = (lim - 1 / b ** m + 1 / (b * (b ** m - 1))
            - 1 / (b ** m * (b ** m - 1)))
-    chain1 = mp.mpf(lhs.b) <= mp.mpf(ts.a)
-    chain2 = mp.mpf(ts.b) <= mp.mpf(td.a)
-    chain3 = mp.mpf(td.b) < mp.mpf(lim.a)
-    r_lo = dimension(beta, PointSpec(value=float(mp.mpf(ts.a)) - 0.01))
+    chain1 = lhs.b <= ts.a
+    chain2 = ts.b <= td.a
+    chain3 = td.b < lim.a
+    r_lo = dimension(beta, PointSpec(value=float(ts.a) - 0.01))
     pos = r_lo.dim_lower > 0
     r_hi = dimension(beta, PointSpec(seq=C.t_diamond_sequence("10")))
     dead = r_hi.dim_upper < 0.02
@@ -161,7 +162,7 @@ def test_criterion_08_critical_point_bracket():
            "(lhs=%.6f, t*=%.6f), t*<=t_dia %s, "
            "t_dia<1-1/beta %s, dim(t*-0.01) lower %.4f>0 %s, "
            "dim(t_dia) upper %.2e<0.02 %s" % (
-               chain1, float(mp.mpf(lhs.b)), float(mp.mpf(ts.a)),
+               chain1, float(lhs.b), float(ts.a),
                chain2, chain3, r_lo.dim_lower, pos, r_hi.dim_upper, dead))
 
 
@@ -182,11 +183,11 @@ def test_criterion_08_corrected_lower_bound():
         for lam in (0.3, 1.0):
             b = bl + (br - bl) * lam
             ts = project(C.t_star_sequence(a), b)
-            lhs = (iv.mpf(1) - 1 / b - 1 / b ** m
+            lhs = (1 - 1 / b - 1 / b ** m
                    + 1 / (b * (b ** m - 1)) - 1 / (b ** m * (b ** m - 1)))
             # equality holds at the right endpoint, so allow a sliver of
             # interval-rounding slack
-            assert mp.mpf(lhs.b) <= mp.mpf(ts.b) + mp.mpf(2) ** -90, (a, lam)
+            assert lhs.b <= ts.b + Fraction(1, 2 ** 90), (a, lam)
 
 
 def test_criterion_09_left_endpoint_emptiness():

@@ -8,7 +8,7 @@ from betahole.errors import (CertificateFailed, NotFarey,
                              NotFareyReflection, NotInQ, NotLyndon,
                              NotMaximalRotation)
 from betahole.sequences import EpSequence
-from betahole.numeric import BetaSpec, iv_mid
+from betahole.numeric import BetaSpec
 from betahole import bifurcation as B
 from betahole import words as W
 
@@ -16,7 +16,7 @@ E = EpSequence.parse
 
 
 def mid(b):
-    return float(iv_mid(b.value))
+    return float(b.value.mid())
 
 
 def test_in_E_plus():

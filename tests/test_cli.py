@@ -48,6 +48,23 @@ def test_alpha_command():
     assert "(1)" in r.output
 
 
+def test_alpha_at_rational_base_has_no_closed_form():
+    # a rational base below 2 never has an eventually periodic expansion
+    # of 1 (Parry), even when it agrees with the tribonacci root to 40
+    # digits and its first 48 digits look like (110)^inf
+    r = run("alpha", "--beta", "1.8392867552141611325518525646532866004241")
+    assert r.exit_code == 0
+    out = r.output.strip()
+    assert "(" not in out and len(out) == 48 and set(out) <= set("01")
+
+
+def test_expand_certifies_an_exact_tie():
+    # 0.625 * 1.6 == 1 exactly: the greedy digit is 1, then the orbit is 0
+    r = run("expand", "--x", "0.625", "--beta", "1.6", "--n", "20")
+    assert r.exit_code == 0
+    assert r.output.strip() == "1" + "0" * 19
+
+
 def test_admissible():
     r = run("admissible", "--x", "(10)", "--alpha", "(110)")
     assert r.output.strip() == "true"

@@ -4,7 +4,7 @@ import pytest
 
 from betahole.errors import NotFareyReflection
 from betahole.sequences import EpSequence, lex_compare_ep
-from betahole.numeric import BetaSpec, project, mp
+from betahole.numeric import BetaSpec, project
 from betahole import critical as C
 from betahole import bifurcation as B
 from betahole import words as W
@@ -130,5 +130,5 @@ def test_bracket_chain_inside_intervals():
             ts = project(C.t_star_sequence(a), bv)
             td = project(C.t_diamond_sequence(a), bv)
             lim = 1 - 1 / bv
-            assert mp.mpf(ts.a) <= mp.mpf(td.b)
-            assert mp.mpf(td.b) < mp.mpf(lim.a)
+            assert ts.a <= td.b
+            assert td.b < lim.a

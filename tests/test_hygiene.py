@@ -11,15 +11,30 @@ import betahole
 PKG = Path(betahole.__file__).resolve().parent
 
 
-def test_cli_import_does_not_load_numpy():
+def run_python(code):
+    """stdout of a fresh interpreter that imports betahole from PKG."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PKG.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, betahole.cli; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_cli_import_does_not_load_numpy():
+    assert run_python(
+        "import sys, betahole.cli; print('numpy' in sys.modules)") == "False"
+
+
+def test_cli_import_does_not_load_mpmath():
+    assert run_python(
+        "import sys, betahole.cli; print('mpmath' in sys.modules)") == "False"
+
+
+def test_import_leaves_mpmath_precision_alone():
+    assert run_python(
+        "import mpmath, betahole.cli; print(mpmath.mp.prec, mpmath.iv.prec)"
+    ) == "53 53"
 
 
 def test_no_assert_statements_in_package():

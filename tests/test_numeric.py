@@ -1,32 +1,33 @@
 """Certified expansions, root solving and projections."""
 
+import math
 import random
 import signal
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import pytest
-
 from mpmath.libmp import to_rational
 
 from betahole.errors import NotInQ, OutOfRange
 from betahole.sequences import EpSequence, is_in_Q, ONES
 from betahole import numeric as N
-from betahole.numeric import BetaSpec, iv, mp
+from betahole.numeric import BetaSpec, Interval
 
 GOLDEN = 1.618033988749895
 TRIB = 1.839286755214161
 
 
 def mid(x):
-    return float(N.iv_mid(x))
+    return float(x.mid())
 
 
 def test_beta_from_alpha_known_roots():
     assert abs(mid(N.beta_from_alpha(EpSequence.parse("(10)"))) - GOLDEN) < 1e-9
     assert abs(mid(N.beta_from_alpha(EpSequence.parse("(110)"))) - TRIB) < 1e-9
     two = N.beta_from_alpha(EpSequence.parse("(1)"))
-    assert mp.mpf(two.a) == 2 and mp.mpf(two.b) == 2
+    assert two.a == 2 and two.b == 2
 
 
 def test_beta_from_alpha_ends_at_low_working_precision():
@@ -36,28 +37,18 @@ def test_beta_from_alpha_ends_at_low_working_precision():
     old = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(10)
     try:
-        with mp.workprec(53):
+        with mpmath.mp.workprec(53):
             # bypass the cache so the solve really runs at 53 bits
             b = N.beta_from_alpha.__wrapped__(EpSequence.parse("(110)"))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
 
-    def exact(x):
-        man, exp = mp.mpf(x).man_exp
-        return Fraction(man) * Fraction(2) ** exp
-
     def p(x):
         # alpha = (110)^inf: beta is the root of beta^3 - beta^2 - beta - 1
         return x ** 3 - x ** 2 - x - 1
 
-    assert p(exact(b.a)) < 0 < p(exact(b.b))
-
-
-def exact_ends(b):
-    """The two ends of the interval b as Fractions, read from its bits
-    (independent of the working precision)."""
-    return tuple(Fraction(*to_rational(e)) for e in b._mpi_)
+    assert p(b.a) < 0 < p(b.b)
 
 
 def pi_exact(a, x):
@@ -68,17 +59,17 @@ def pi_exact(a, x):
 
 
 def test_beta_from_alpha_exact_at_53_bits():
-    old = iv.prec, mp.prec
-    iv.prec = mp.prec = 53
+    old = mpmath.iv.prec, mpmath.mp.prec
+    mpmath.iv.prec = mpmath.mp.prec = 53
     try:
         # bypass the cache so the solve really runs at 53 bits
         b = N.beta_from_alpha.__wrapped__(EpSequence("", "110"))
-        lo, hi = exact_ends(b)
+        lo, hi = b.a, b.b
         assert hi - lo == Fraction(1, 2 ** 100)
         # alpha = (110)^inf: beta is the root of beta^3 - beta^2 - beta - 1
         assert lo ** 3 - lo ** 2 - lo - 1 < 0 < hi ** 3 - hi ** 2 - hi - 1
     finally:
-        iv.prec, mp.prec = old
+        mpmath.iv.prec, mpmath.mp.prec = old
 
 
 def small_Q():
@@ -101,7 +92,8 @@ def test_beta_from_alpha_exact_containment():
     seqs = small_Q()
     assert len(seqs) == 1484
     for a in set(seqs):
-        lo, hi = exact_ends(N.beta_from_alpha(a))
+        b = N.beta_from_alpha(a)
+        lo, hi = b.a, b.b
         assert hi - lo == Fraction(1, 2 ** 100), a
         assert pi_exact(a, lo) > 1 > pi_exact(a, hi), a
 
@@ -130,7 +122,7 @@ def test_beta_from_alpha_inverts_alpha_of_beta():
     for text in ["(10)", "(110)", "(1110)", "1(10)", "(11010)"]:
         a = EpSequence.parse(text)
         b = N.beta_from_alpha(a)
-        digits, _ = N.quasi_greedy_digits(iv.mpf(1), b, 48)
+        digits, _ = N.quasi_greedy_digits(Interval(1), b, 48)
         assert len(digits) >= 1
         assert digits == a.prefix(len(digits))
         # the symbolic spec knows the full expansion
@@ -139,42 +131,42 @@ def test_beta_from_alpha_inverts_alpha_of_beta():
 
 
 def test_greedy_digits():
-    d, cert = N.greedy_digits(N.to_iv("0.5"), iv.mpf(2), 8)
+    d, cert = N.greedy_digits(Interval("0.5"), Interval(2), 8)
     assert d == "10000000" and cert
     # golden base, x just above 1 - 1/beta: expansion starts 01 then 0s
     b = N.beta_from_alpha(EpSequence.parse("(10)"))
-    x = iv.mpf(1) - iv.mpf(1) / b + iv.mpf(2) ** -40
+    x = 1 - 1 / b + Fraction(1, 2 ** 40)
     d, _ = N.greedy_digits(x, b, 10)
     assert d.startswith("0100000000")
     # at the exact bracketed point the second digit is a tie: the orbit
     # lands on the critical value, so certification stops honestly
-    x = iv.mpf(1) - iv.mpf(1) / b
+    x = 1 - 1 / b
     d, cert = N.greedy_digits(x, b, 10)
     assert not cert and d == "0"
 
 
 def test_quasi_greedy_of_one():
-    d, cert = N.quasi_greedy_digits(iv.mpf(1), iv.mpf(2), 10)
+    d, cert = N.quasi_greedy_digits(Interval(1), Interval(2), 10)
     assert d == "1" * 10 and cert
-    d, cert = N.quasi_greedy_digits(iv.mpf(1), N.to_iv("1.7"), 12)
+    d, cert = N.quasi_greedy_digits(Interval(1), Interval("1.7"), 12)
     assert cert and d[:2] == "11"
 
 
 def test_project_closed_form():
     # pi_2((01)^inf) = 1/3, pi_2((10)^inf) = 2/3
-    v = N.project(EpSequence.parse("(01)"), iv.mpf(2))
-    assert abs(mid(v) - 1 / 3) < 1e-30
-    v = N.project(EpSequence.parse("(10)"), iv.mpf(2))
-    assert abs(mid(v) - 2 / 3) < 1e-30
+    v = N.project(EpSequence.parse("(01)"), Interval(2))
+    assert v.a == v.b == Fraction(1, 3)
+    v = N.project(EpSequence.parse("(10)"), Interval(2))
+    assert v.a == v.b == Fraction(2, 3)
     # projecting alpha(beta) at beta gives 1
     b = N.beta_from_alpha(EpSequence.parse("(110)"))
     v = N.project(EpSequence.parse("(110)"), b)
-    assert mp.mpf(v.a) < 1 < mp.mpf(v.b) or abs(mid(v) - 1) < 1e-25
+    assert v.a < 1 < v.b and v.b - v.a < Fraction(1, 2 ** 90)
 
 
 def test_project_word_vs_fraction():
-    v = N.project_word("101", iv.mpf(2))
-    assert abs(mid(v) - float(Fraction(5, 8))) < 1e-30
+    v = N.project_word("101", Interval(2))
+    assert v.a == v.b == Fraction(5, 8)
 
 
 def test_betaspec_parsing():
@@ -204,3 +196,74 @@ def test_alpha_sequence_detects_period():
     # and then falls near 0
     digits, _ = b.alpha_prefix(40)
     assert digits.startswith("1100000000")
+
+
+def test_interval_arithmetic_is_exact():
+    x = Interval("1.7")
+    assert (x.a, x.b) == (Fraction(17, 10),) * 2
+    assert Interval(0.5).a == Fraction(1, 2)
+    assert Interval(Fraction(1, 3), 1).b == 1
+    y = 1 - 1 / x + Fraction(1, 10)
+    assert y.a == y.b == Fraction(7, 17) + Fraction(1, 10)
+    assert (x ** 3).a == Fraction(4913, 1000)
+    assert (x ** -2).a == Fraction(100, 289)
+    z = Interval(-1, 2)
+    assert ((z * z).a, (z * z).b) == (-2, 4)
+    assert ((z ** 2).a, (z ** 2).b) == (0, 4)
+    assert ((z - x).a, (z - x).b) == (Fraction(-27, 10), Fraction(3, 10))
+    with pytest.raises(ZeroDivisionError):
+        x / z
+    with pytest.raises(ValueError):
+        Interval("0.9").log2()
+
+
+def test_interval_log2_encloses_high_precision_log():
+    """Interval.log2 of a point against a 300-bit mpmath oracle: it
+    must enclose log2 and be less than 2^-120 wide."""
+    rng = random.Random(9)
+    points = [1 + Fraction(i, 1000) for i in range(1, 1001, 37)]
+    points += [1 + Fraction(rng.getrandbits(100), 2 ** 100)
+               for _ in range(150)]
+    points += [Fraction(2), 1 + Fraction(1, 2 ** 60)]
+    with mpmath.workprec(300):
+        for q in points:
+            lg = Interval(q).log2()
+            exact = mpmath.log(mpmath.mpf(q.numerator) / q.denominator, 2)
+            lo, hi = (Fraction(*to_rational(mpmath.mpf(e)._mpf_))
+                      for e in (exact - mpmath.mpf(2) ** -280,
+                                exact + mpmath.mpf(2) ** -280))
+            assert lg.a <= lo and hi <= lg.b, q
+            assert lg.b - lg.a < Fraction(1, 2 ** 120), q
+
+
+def test_interval_nstr_matches_mpmath():
+    rng = random.Random(10)
+    with mpmath.workprec(400):
+        for _ in range(300):
+            lo = 1 + Fraction(rng.getrandbits(100), 2 ** 100)
+            x = Interval(lo, lo + Fraction(1, 2 ** 100))
+            m = x.mid()
+            for n in (14, 17):
+                assert x.nstr(n) == mpmath.nstr(
+                    mpmath.mpf(m.numerator) / m.denominator, n), (m, n)
+    assert Interval(2).nstr(17) == "2.0"
+    assert Interval("1.7").nstr(17) == "1.7"
+
+
+def test_float_rounding_is_directed():
+    rng = random.Random(11)
+    qs = [Fraction(rng.getrandbits(80), rng.getrandbits(70) + 1)
+          for _ in range(500)] + [Fraction(7, 32), Fraction(1, 3)]
+    for q in qs:
+        lo, hi = N.float_down(q), N.float_up(q)
+        assert Fraction(lo) <= q <= Fraction(hi)
+        assert Fraction(math.nextafter(lo, math.inf)) > q
+        assert Fraction(math.nextafter(hi, -math.inf)) < q
+    assert N.float_down(Fraction(7, 32)) == N.float_up(Fraction(7, 32))
+
+
+def test_alpha_of_rational_base_has_no_closed_form():
+    assert N.alpha_of_beta(Interval(2))[2] == ONES
+    for text in ("1.7", "1.618", "1.8392867552141611325518525646532866004241"):
+        digits, certified, seq = N.alpha_of_beta(Interval(text), 96)
+        assert seq is None and certified and len(digits) == 96

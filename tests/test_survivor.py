@@ -5,12 +5,13 @@ import random
 from itertools import product
 
 import pytest
+from mpmath import iv
 
 from betahole.sequences import EpSequence, is_in_Q, lex_compare_ep
 from betahole.survivor import (LexSubshift, PointSpec, compile, count_words,
                                count_words_brute, dimension, entropy,
                                membership, reduce_upper)
-from betahole.numeric import BetaSpec, beta_from_alpha, iv
+from betahole.numeric import BetaSpec, beta_from_alpha
 
 E = EpSequence.parse
 
@@ -48,12 +49,22 @@ def test_beta_shift_entropy_is_log_beta():
               for p in range(1, 11) for w in product("01", repeat=p)}
     alphas = sorted((a for a in alphas if is_in_Q(a)), key=str)
     assert len(alphas) > 100
-    for a in alphas:
-        log_beta = iv.log(beta_from_alpha(a)) / iv.log(iv.mpf(2))
-        br = entropy(LexSubshift(E("(0)"), a))
-        assert br.lower_bound <= log_beta.b, a
-        assert log_beta.a <= br.upper_bound, a
-        assert br.upper_bound - br.lower_bound < 1e-8, a
+    old = iv.prec
+    iv.prec = 128
+    try:
+        for a in alphas:
+            # mpmath is the independent oracle: the ends of the bracket are
+            # dyadic with at most 101 bits, so they convert exactly
+            b = beta_from_alpha(a)
+            b = iv.mpf([iv.mpf(x.numerator) / x.denominator
+                        for x in (b.a, b.b)])
+            log_beta = iv.log(b) / iv.log(2)
+            br = entropy(LexSubshift(E("(0)"), a))
+            assert br.lower_bound <= log_beta.b, a
+            assert log_beta.a <= br.upper_bound, a
+            assert br.upper_bound - br.lower_bound < 1e-8, a
+    finally:
+        iv.prec = old
 
 
 def test_two_cycle_shift_has_entropy_zero():
