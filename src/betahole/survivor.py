@@ -11,13 +11,14 @@ prefix on the wrong side kills the path.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 from math import log2
 
 from .errors import CertificateFailed, StateCapExceeded, TooLarge
 from .sequences import EpSequence, lex_compare_ep
 from . import numeric as N
-from .numeric import BetaSpec, Interval
+from .numeric import Interval, float_down, float_up
 
 
 @dataclass(frozen=True)
@@ -413,8 +414,8 @@ def dimension(beta, t, horizon=N.DEFAULT_HORIZON, cap=10 ** 6):
         method = "automaton_outer_inner"
         empty = outer.empty
     lb = beta.value.log2()
-    dim_lo = min(max(h_lo / float(lb.b), 0.0), 1.0)
-    dim_hi = min(max(h_hi / float(lb.a), 0.0), 1.0)
+    dim_lo = min(max(float_down(Fraction(h_lo) / lb.b), 0.0), 1.0)
+    dim_hi = min(max(float_up(Fraction(h_hi) / lb.a), 0.0), 1.0)
     if dim_hi < dim_lo:
         raise CertificateFailed(
             "dimension bracket certificate failed: lower %r above upper %r"

@@ -2,10 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 from mpmath import iv
+from mpmath.libmp import to_rational
 
 from betahole.sequences import EpSequence, is_in_Q, lex_compare_ep
 from betahole.survivor import (LexSubshift, PointSpec, compile, count_words,
@@ -63,6 +65,29 @@ def test_beta_shift_entropy_is_log_beta():
             assert br.lower_bound <= log_beta.b, a
             assert log_beta.a <= br.upper_bound, a
             assert br.upper_bound - br.lower_bound < 1e-8, a
+    finally:
+        iv.prec = old
+
+
+def test_dimension_quotient_is_rounded_outward():
+    """dim_lower <= h_lower / log2(beta) <= ... <= h_upper / log2(beta) <=
+    dim_upper, checked exactly with Fractions against an independent
+    200-bit mpmath bracket of log2(beta) (clamping to [0, 1] aside)."""
+    old = iv.prec
+    iv.prec = 200
+    try:
+        for text in ("1.15", "1.4", "1.7", "1.95", "@(10)", "@(110)"):
+            beta = BetaSpec.parse(text)
+            b = beta.value
+            ends = [iv.mpf(x.numerator) / x.denominator for x in (b.a, b.b)]
+            log2b = iv.log(iv.mpf([ends[0].a, ends[1].b])) / iv.log(2)
+            lo, hi = (Fraction(*to_rational(e)) for e in log2b._mpi_)
+            for i in range(24):
+                r = dimension(beta, PointSpec(value=0.4 * i / 23))
+                assert r.dim_lower == 0 or \
+                    Fraction(r.dim_lower) * hi <= Fraction(r.h_lower), (text, i)
+                assert r.dim_upper == 1 or \
+                    Fraction(r.dim_upper) * lo >= Fraction(r.h_upper), (text, i)
     finally:
         iv.prec = old
 
