@@ -39,20 +39,30 @@ class Interval:
     def __init__(self, a, b=None):
         self.a = Fraction(a)
         self.b = self.a if b is None else Fraction(b)
+        if self.a > self.b:
+            raise ValueError("interval ends out of order: %s > %s"
+                             % (self.a, self.b))
 
     @classmethod
     def _of(cls, x):
         return x if isinstance(x, cls) else cls(x)
 
+    @classmethod
+    def _ends(cls, a, b):
+        """The interval [a, b] from Fraction ends already in order."""
+        r = cls.__new__(cls)
+        r.a, r.b = a, b
+        return r
+
     def __add__(self, other):
         o = Interval._of(other)
-        return Interval(self.a + o.a, self.b + o.b)
+        return Interval._ends(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = Interval._of(other)
-        return Interval(self.a - o.b, self.b - o.a)
+        return Interval._ends(self.a - o.b, self.b - o.a)
 
     def __rsub__(self, other):
         return Interval._of(other) - self
@@ -60,9 +70,9 @@ class Interval:
     def __mul__(self, other):
         o = Interval._of(other)
         if self.a >= 0 and o.a >= 0:
-            return Interval(self.a * o.a, self.b * o.b)
+            return Interval._ends(self.a * o.a, self.b * o.b)
         p = (self.a * o.a, self.a * o.b, self.b * o.a, self.b * o.b)
-        return Interval(min(p), max(p))
+        return Interval._ends(min(p), max(p))
 
     __rmul__ = __mul__
 
@@ -70,7 +80,7 @@ class Interval:
         o = Interval._of(other)
         if o.a <= 0 <= o.b:
             raise ZeroDivisionError("interval divisor %r contains 0" % (o,))
-        return self * Interval(1 / o.b, 1 / o.a)
+        return self * Interval._ends(1 / o.b, 1 / o.a)
 
     def __rtruediv__(self, other):
         return Interval._of(other) / self
@@ -79,7 +89,9 @@ class Interval:
         if n < 0:
             return 1 / self ** -n
         lo, hi = sorted((self.a ** n, self.b ** n))
-        return Interval(0 if n % 2 == 0 and self.a < 0 < self.b else lo, hi)
+        if n % 2 == 0 and self.a < 0 < self.b:
+            lo = Fraction(0)
+        return Interval._ends(lo, hi)
 
     def mid(self):
         return (self.a + self.b) / 2
@@ -94,7 +106,7 @@ class Interval:
 
     def log2(self):
         """Enclosure of log2 over the interval, for 1 <= a <= b <= 2."""
-        return Interval(*_log2(self.a, self.b))
+        return Interval._ends(*_log2(self.a, self.b))
 
     def __repr__(self):
         return "Interval(%s, %s)" % (self.a, self.b)

@@ -38,7 +38,7 @@ def test_beta_from_alpha_ends_at_low_working_precision():
     signal.alarm(10)
     try:
         with mpmath.mp.workprec(53):
-            # bypass the cache so the solve really runs at 53 bits
+            # bypass the cache so the solve runs at the lowered precision
             b = N.beta_from_alpha.__wrapped__(EpSequence.parse("(110)"))
     finally:
         signal.alarm(0)
@@ -62,7 +62,7 @@ def test_beta_from_alpha_exact_at_53_bits():
     old = mpmath.iv.prec, mpmath.mp.prec
     mpmath.iv.prec = mpmath.mp.prec = 53
     try:
-        # bypass the cache so the solve really runs at 53 bits
+        # bypass the cache so the solve runs at the lowered precision
         b = N.beta_from_alpha.__wrapped__(EpSequence("", "110"))
         lo, hi = b.a, b.b
         assert hi - lo == Fraction(1, 2 ** 100)
@@ -215,6 +215,8 @@ def test_interval_arithmetic_is_exact():
         x / z
     with pytest.raises(ValueError):
         Interval("0.9").log2()
+    with pytest.raises(ValueError):
+        Interval(2, 1)
 
 
 def test_interval_log2_encloses_high_precision_log():
