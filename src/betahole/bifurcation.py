@@ -11,11 +11,10 @@ beta -> alpha(beta) is an order isomorphism.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (CertificateFailed, DegenerateFarey, NotFarey,
-                     NotFareyReflection, NotInQ, NotLyndon,
-                     NotMaximalRotation, UndecidableAtPrecision)
+from .errors import (CertificateFailed, NotFarey, NotFareyReflection,
+                     NotInQ, NotLyndon, NotMaximalRotation)
 from .sequences import EpSequence, lex_compare_ep, is_in_Q
-from .numeric import BetaSpec, Interval, iv_le
+from .numeric import BetaSpec, Interval
 from . import words as W
 from . import numeric as N
 
@@ -108,19 +107,10 @@ def classify_isolated(t_period, beta):
     if not W.is_lyndon(t_period):
         raise NotLyndon("%r is not Lyndon" % t_period)
     rec = basic_interval(W.max_rotation(t_period))
-    bL = rec.beta_L.value
-    bR = rec.beta_R.value
-    b = beta.value
-    c = iv_le(b, bL)
-    if c is True:
+    if beta.compare(rec.alpha_L) <= 0:
         return "not_in_E_plus"
-    if c is None:
-        raise UndecidableAtPrecision("beta within bracket of beta_L")
-    c = iv_le(b, bR)
-    if c is True:
+    if beta.compare(rec.alpha_R) <= 0:
         return "isolated"
-    if c is None:
-        raise UndecidableAtPrecision("beta within bracket of beta_R")
     return "not_isolated"
 
 

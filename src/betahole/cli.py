@@ -13,7 +13,7 @@ from functools import wraps
 import click
 
 from .errors import BetaHoleError, OutOfRange
-from .sequences import EpSequence, is_admissible, lex_compare_ep
+from .sequences import EpSequence, is_admissible
 from .numeric import BetaSpec, Interval
 from .survivor import PointSpec, dimension
 from . import words as W
@@ -169,12 +169,12 @@ def atlas(max_len, kind, digits, nesting):
 @click.option("--t-min", type=float, default=0.0, show_default=True)
 @click.option("--t-max", type=float, required=True)
 @click.option("--samples", type=int, required=True)
-@click.option("--n-max", type=int, default=14, show_default=True)
 @click.option("--digits", default=12, show_default=True)
 @click.option("--horizon", default=N.DEFAULT_HORIZON, show_default=True)
 @domain_errors
-def staircase(beta_s, t_min, t_max, samples, n_max, digits, horizon):
-    """CSV sweep of entropy/dimension brackets over a grid of hole sizes."""
+def staircase(beta_s, t_min, t_max, samples, digits, horizon):
+    """CSV sweep of entropy/dimension brackets over a grid of hole sizes;
+    each bracket is rounded outward at --digits."""
     if samples < 2:
         raise click.UsageError("--samples must be >= 2")
     if not (0 <= t_min < t_max <= 1):
@@ -186,8 +186,10 @@ def staircase(beta_s, t_min, t_max, samples, n_max, digits, horizon):
         rep = dimension(beta, PointSpec(value=t), horizon=horizon)
         click.echo(",".join([
             _fmt(t, digits),
-            _fmt(rep.h_lower, digits), _fmt(rep.h_upper, digits),
-            _fmt(rep.dim_lower, digits), _fmt(rep.dim_upper, digits),
+            N.fixed(rep.h_lower, digits, False),
+            N.fixed(rep.h_upper, digits, True),
+            N.fixed(rep.dim_lower, digits, False),
+            N.fixed(rep.dim_upper, digits, True),
             rep.method,
         ]))
 

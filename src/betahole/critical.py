@@ -4,17 +4,17 @@ family, left-endpoint emptiness, and the TauReport regimes.
 """
 
 from dataclasses import dataclass, field
-from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from functools import lru_cache
 
-from .errors import (AtlasInconclusive, CertificateFailed,
-                     FinitenessCertificateFailed, NotFareyReflection)
+from .errors import (CertificateFailed, FinitenessCertificateFailed,
+                     NotFareyReflection)
 from .sequences import EpSequence, lex_compare_ep
-from .survivor import LexSubshift, SubshiftAutomaton, compile
+from .survivor import LexSubshift, compile
 from . import bifurcation as B
+from . import sequences as S
 from . import words as W
 from . import numeric as N
-from .numeric import float_down, float_up, iv_lt, iv_le
+from .numeric import fixed, float_down, float_up
 
 
 def _require_farey_generator(a):
@@ -170,23 +170,11 @@ class TauReport:
 def _locate(beta, recs):
     """Index of the Farey interval (gamma_L, gamma_R] containing beta,
     "left:i" if beta = gamma_L of record i, or None if outside all."""
-    if beta.symbolic:
-        for i, r in enumerate(recs):
-            c = lex_compare_ep(beta.alpha, r.alpha_L)
-            if c == 0:
-                return "left:%d" % i
-            if c > 0 and lex_compare_ep(beta.alpha, r.alpha_R) <= 0:
-                return i
-        return None
-    b = beta.value
     for i, r in enumerate(recs):
-        cl = iv_lt(r.beta_L.value, b)
-        cr = iv_le(b, r.beta_R.value)
-        if cl is None or (cl and cr is None):
-            raise AtlasInconclusive(
-                "beta indistinguishable from an endpoint of the %r interval"
-                % r.generator)
-        if cl and cr:
+        c = beta.compare(r.alpha_L)
+        if c == 0:
+            return "left:%d" % i
+        if c > 0 and beta.compare(r.alpha_R) <= 0:
             return i
     return None
 
@@ -197,8 +185,7 @@ def tau_report(beta, atlas_depth=10):
     if atlas_depth < 2:
         raise ValueError("atlas_depth must be >= 2")
     one_minus = 1 - 1 / beta.value
-    if (beta.symbolic and beta.alpha.per == "1") or \
-            (not beta.symbolic and beta.value.a == 2):
+    if beta.compare(S.ONES) == 0:
         return TauReport(beta, "outside_closure", 0.5, 0.5,
                          {"note": "doubling map"}, atlas_depth, True)
     recs = _farey_atlas(atlas_depth)
@@ -221,14 +208,7 @@ def tau_report(beta, atlas_depth=10):
         wit = {"generator": a, "t_star": str(ts), "t_diamond": str(td)}
         # refinement: alpha(beta) below a+ (0 a_2..a_m) (a)^inf pins tau = t*
         bound = EpSequence(W.plus(a) + "0" + a[1:], a)
-        low_regime = False
-        if beta.symbolic:
-            low_regime = lex_compare_ep(beta.alpha, bound) < 0
-        else:
-            digits, ok = beta.alpha_prefix(N.DEFAULT_HORIZON)
-            if digits and digits < bound.prefix(len(digits)):
-                low_regime = True
-        if low_regime:
+        if beta.compare(bound) < 0:
             return TauReport(beta, "inside_farey_low",
                              float_down(tsv.a), float_up(tsv.b),
                              wit, atlas_depth, True)
@@ -237,7 +217,7 @@ def tau_report(beta, atlas_depth=10):
                          wit, atlas_depth, True)
     # outside every atlas interval at this depth
     gap = _gap_width(beta, recs)
-    if gap is not None and gap < 1e-6:
+    if gap < 1e-6:
         return TauReport(beta, "outside_closure",
                          float_down(one_minus.a),
                          float_up(one_minus.b),
@@ -250,32 +230,15 @@ def tau_report(beta, atlas_depth=10):
 
 
 def _gap_width(beta, recs):
-    """Width of the atlas gap around a numeric beta (None if unbounded)."""
-    b = beta.value
-    left = None
-    right = None
+    """Width of the atlas gap around beta: from the highest beta_R at or
+    below it (else 1) to the lowest beta_L at or above it (else 2)."""
+    left, right = 1.0, 2.0
     for r in recs:
-        rv = r.beta_R.value
-        lv = r.beta_L.value
-        if iv_le(rv, b):
-            x = float(rv.b)
-            left = x if left is None else max(left, x)
-        if iv_le(b, lv):
-            x = float(lv.a)
-            right = x if right is None else min(right, x)
-    if left is None:
-        left = 1.0
-    if right is None:
-        right = 2.0
+        if beta.compare(r.alpha_R) >= 0:
+            left = max(left, float(r.beta_R.value.b))
+        elif beta.compare(r.alpha_L) <= 0:
+            right = min(right, float(r.beta_L.value.a))
     return right - left
-
-
-def _fixed(x, digits, rounding):
-    """x in fixed notation with `digits` decimals, rounded in the given
-    direction from the exact binary value of the float x."""
-    exp = Decimal(1).scaleb(-digits)
-    ctx = Context(prec=max(28, digits + 2))
-    return "{:f}".format(Decimal(x).quantize(exp, rounding, ctx))
 
 
 def tau_json(report, digits=12):
@@ -284,8 +247,8 @@ def tau_json(report, digits=12):
         "beta": ("@%s" % report.beta.alpha if report.beta.symbolic
                  else report.beta.value.nstr(17)),
         "regime": report.regime,
-        "tau_lower": _fixed(report.tau_lower, digits, ROUND_FLOOR),
-        "tau_upper": _fixed(report.tau_upper, digits, ROUND_CEILING),
+        "tau_lower": fixed(report.tau_lower, digits, False),
+        "tau_upper": fixed(report.tau_upper, digits, True),
         "witness_words": {k: str(v) for k, v in report.witnesses.items()},
         "atlas_depth": report.atlas_depth,
         "certified": report.certified,

@@ -53,14 +53,6 @@ class TooLarge(BetaHoleError):
     """Brute-force word counting was requested for an infeasible length."""
 
 
-class UndecidableAtPrecision(BetaHoleError):
-    """Certified interval endpoints are too wide to decide a comparison."""
-
-
-class AtlasInconclusive(BetaHoleError):
-    """The base lies within bracket width of an atlas interval boundary."""
-
-
 class CertificateFailed(BetaHoleError):
     """A certificate that a result relies on did not check out."""
 

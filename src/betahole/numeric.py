@@ -3,9 +3,11 @@
 Every value is exact: a decimal base or hole is a rational number, and a
 base named by its kneading sequence is bracketed between two dyadic
 numbers by an exact integer root solve.  `Interval` carries both kinds as
-closed intervals with `Fraction` ends, so a digit or a comparison is
-either certified or reported as undecided, and no floating-point
-precision is involved anywhere.
+closed intervals with `Fraction` ends, so a digit is either certified or
+reported as undecided, and no floating-point precision is involved
+anywhere.  A base is placed against the base of a kneading sequence by
+`BetaSpec.compare`, one exact sign test that never leaves a comparison
+undecided.
 """
 
 import math
@@ -146,23 +148,6 @@ def _log2(a, b):
             Fraction(_half_ln(b, True), _HALF_LN2[0]))
 
 
-def iv_lt(a, b):
-    """Certified a < b: True/False if provable, None if the intervals overlap."""
-    if a.b < b.a:
-        return True
-    if a.a >= b.b:
-        return False
-    return None
-
-
-def iv_le(a, b):
-    if a.b <= b.a:
-        return True
-    if a.a > b.b:
-        return False
-    return None
-
-
 def float_down(q):
     """Largest float at or below the rational q."""
     f = float(q)
@@ -173,6 +158,17 @@ def float_up(q):
     """Smallest float at or above the rational q."""
     f = float(q)
     return math.nextafter(f, math.inf) if Fraction(f) < q else f
+
+
+def fixed(x, digits, up):
+    """The float x in fixed notation with `digits` decimals, rounded down
+    or (up=True) up from its exact binary value, in integer arithmetic."""
+    q = Fraction(x) * 10 ** digits
+    whole, frac = divmod(abs(math.ceil(q) if up else math.floor(q)),
+                         10 ** digits)
+    sign = "-" if math.copysign(1, x) < 0 else ""
+    return sign + ("%d.%0*d" % (whole, digits, frac) if digits else
+                   "%d" % whole)
 
 
 def _expand(x, beta, n, tie, orbit=False):
@@ -344,6 +340,25 @@ class BetaSpec:
     @property
     def symbolic(self):
         return self.alpha is not None
+
+    def compare(self, alpha):
+        """Exact sign (-1, 0, 1) of beta - beta(alpha) for alpha in Q.
+
+        A symbolic base compares alpha(beta) with alpha, since
+        beta -> alpha(beta) preserves order (Parry 1960).  A decimal base
+        p/q takes minus the sign of F(p/q) * q^deg F (see _sign_polynomial):
+        F(x) has the sign of pi_x(alpha) - 1, which falls as x grows.
+        """
+        if not S.is_in_Q(alpha):
+            raise NotInQ("%s is not a quasi-greedy expansion of 1" % alpha)
+        if self.symbolic:
+            return S.lex_compare_ep(self.alpha, alpha)
+        p, q = self.value.a.numerator, self.value.a.denominator
+        v, qk = 0, 1
+        for c in reversed(_sign_polynomial(alpha)):
+            v = v * p + c * qk
+            qk *= q
+        return (v < 0) - (v > 0)
 
     def alpha_prefix(self, n):
         """First n digits of alpha(beta), with a certification flag."""

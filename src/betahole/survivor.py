@@ -10,7 +10,7 @@ so far is still sitting exactly on a prefix of that bound; leaving the
 prefix on the wrong side kills the path.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import log2
@@ -19,6 +19,9 @@ from .errors import CertificateFailed, StateCapExceeded, TooLarge
 from .sequences import EpSequence, lex_compare_ep
 from . import numeric as N
 from .numeric import Interval, float_down, float_up
+
+#: most automaton states compile() builds before raising StateCapExceeded
+STATE_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class SubshiftAutomaton:
     """DFA over {0,1} whose length-n path count equals the number of
     words passing every suffix-window check against the two bounds."""
 
-    def __init__(self, shift, cap=10 ** 6):
+    def __init__(self, shift):
         self.shift = shift
         L, U = shift.lower, shift.upper
 
@@ -93,9 +96,9 @@ class SubshiftAutomaton:
                 nxt = step(st, d)
                 if nxt is not None:
                     if nxt not in index:
-                        if len(index) >= cap:
+                        if len(index) >= STATE_CAP:
                             raise StateCapExceeded(
-                                "automaton exceeded %d states" % cap)
+                                "automaton exceeded %d states" % STATE_CAP)
                         index[nxt] = len(index)
                         order.append(nxt)
                     row[int(d)] = index[nxt]
@@ -186,8 +189,8 @@ class SubshiftAutomaton:
         return out
 
 
-def compile(shift, cap=10 ** 6):
-    return SubshiftAutomaton(shift, cap)
+def compile(shift):
+    return SubshiftAutomaton(shift)
 
 
 def count_words_brute(shift, n):
@@ -212,16 +215,9 @@ def count_words_brute(shift, n):
     return count
 
 
-def count_words(shift, n, method="auto"):
+def count_words(shift, n):
     """Number of length-n words occurring in the subshift (window semantics)."""
-    if method == "brute":
-        return count_words_brute(shift, n)
-    try:
-        return compile(shift).count_paths(n)
-    except StateCapExceeded:
-        if method == "automaton":
-            raise
-        return count_words_brute(shift, n)
+    return compile(shift).count_paths(n)
 
 
 @dataclass
@@ -278,24 +274,13 @@ def _scc_spectral_radius(auto, comp, tol=1e-9, max_iter=20000):
     return lam_lo, lam_hi
 
 
-def entropy(shift, cap=10 ** 6, n_max=14):
+def entropy(shift):
     """Topological entropy bracket in bits.
 
     method=automaton_exact: log2 of the certified spectral-radius bracket
-    of the recurrent part of the compiled automaton.  Falls back to
-    counting (upper bound from the subadditive inf formula, trivial lower
-    bound) if compilation blows the state cap.
+    of the recurrent part of the compiled automaton.
     """
-    try:
-        auto = compile(shift, cap)
-    except StateCapExceeded:
-        best = 1.0
-        for n in range(4, n_max + 1, 2):
-            c = count_words_brute(shift, n)
-            if c == 0:
-                return EntropyBracket(0.0, 0.0, "counting", empty=True)
-            best = min(best, log2(c) / n)
-        return EntropyBracket(0.0, best, "counting")
+    auto = compile(shift)
     alive = auto.live_states()
     if auto.start not in alive:
         return EntropyBracket(0.0, 0.0, "automaton_exact", empty=True)
@@ -384,7 +369,7 @@ class DimensionReport:
     empty: bool = False
 
 
-def dimension(beta, t, horizon=N.DEFAULT_HORIZON, cap=10 ** 6):
+def dimension(beta, t, horizon=N.DEFAULT_HORIZON):
     """Entropy and Hausdorff-dimension brackets for the survivor set
     with hole (0, t), via Bowen's formula dim = h / log2(beta).
 
@@ -399,7 +384,7 @@ def dimension(beta, t, horizon=N.DEFAULT_HORIZON, cap=10 ** 6):
     exact = a_seq is not None and t_seq is not None
     if exact:
         shift = LexSubshift(t_seq, a_seq)
-        br = entropy(shift, cap)
+        br = entropy(shift)
         h_lo, h_hi = br.lower_bound, br.upper_bound
         method = br.method
         empty = br.empty
@@ -408,8 +393,8 @@ def dimension(beta, t, horizon=N.DEFAULT_HORIZON, cap=10 ** 6):
         lo_in = EpSequence(t_pref, "1") if t_seq is None else t_seq
         up_out = EpSequence(a_pref, "1") if a_seq is None else a_seq
         up_in = EpSequence(a_pref, "0") if a_seq is None else a_seq
-        outer = entropy(LexSubshift(lo_out, up_out), cap)
-        inner = entropy(LexSubshift(lo_in, up_in), cap)
+        outer = entropy(LexSubshift(lo_out, up_out))
+        inner = entropy(LexSubshift(lo_in, up_in))
         h_lo, h_hi = inner.lower_bound, outer.upper_bound
         method = "automaton_outer_inner"
         empty = outer.empty

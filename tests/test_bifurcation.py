@@ -76,6 +76,18 @@ def test_classify_isolated():
         B.classify_isolated("10", BetaSpec.parse("1.7"))
 
 
+def test_classify_isolated_at_interval_endpoints():
+    """beta_L lies outside (beta_L, beta_R] and beta_R inside; both were
+    once undecidable because their root brackets coincide."""
+    for word, left, right in [("01", "(10)", "1(10)"),
+                              ("001", "(100)", "1(010)"),
+                              ("011", "(110)", "1(110)")]:
+        assert B.classify_isolated(word, BetaSpec.parse("@" + left)) == \
+            "not_in_E_plus"
+        assert B.classify_isolated(word, BetaSpec.parse("@" + right)) == \
+            "isolated"
+
+
 def test_classify_isolated_consistency_with_approximants():
     """Above beta_R the periodic point is approached from above by the
     block-concatenation approximants, hence not isolated."""

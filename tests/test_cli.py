@@ -6,7 +6,9 @@ from fractions import Fraction
 from click.testing import CliRunner
 
 from betahole.cli import main
+from betahole.numeric import BetaSpec
 from betahole.sequences import EpSequence
+from betahole.survivor import PointSpec, dimension
 
 
 def run(*args):
@@ -149,6 +151,22 @@ def test_tau_bounds_are_rounded_outward():
                 top = exact_value(EpSequence.parse(w["t_diamond"]), beta)
             assert Fraction(doc["tau_lower"]) <= t_star, (beta_s, digits)
             assert top <= Fraction(doc["tau_upper"]), (beta_s, digits)
+
+
+def test_staircase_bounds_are_rounded_outward():
+    # rounding to nearest once printed h_lower 0.485426827161 at beta 1.4
+    # and t = 0, above the proven 0.4854268271604...
+    for beta_s in ["1.4", "1.15", "@(110)"]:
+        beta = BetaSpec.parse(beta_s)
+        out = run("staircase", "--beta", beta_s, "--t-max", "0.3",
+                  "--samples", "5").output
+        for i, line in enumerate(out.strip().splitlines()[1:]):
+            row = [Fraction(x) for x in line.split(",")[1:5]]
+            rep = dimension(beta, PointSpec(value=0.3 * i / 4))
+            assert row[0] <= Fraction(rep.h_lower), (beta_s, i)
+            assert row[1] >= Fraction(rep.h_upper), (beta_s, i)
+            assert row[2] <= Fraction(rep.dim_lower), (beta_s, i)
+            assert row[3] >= Fraction(rep.dim_upper), (beta_s, i)
 
 
 def test_isolated_zset_classify():

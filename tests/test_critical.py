@@ -110,6 +110,20 @@ def test_tau_inside_golden_interval():
     assert rep.tau_upper < one_minus
 
 
+def test_tau_locates_bases_within_root_bracket_of_an_endpoint():
+    """40-digit decimals closer to phi = beta_L("10") and to
+    beta_R("10") = 2cos(pi/7) than the 2^-100 root brackets."""
+    for b in ["1.618033988749894848204586834365638117720",
+              "1.6180339887498948482045868343656381177"]:
+        rep = C.tau_report(BetaSpec.parse(b))
+        assert rep.regime == "outside_closure", b
+        assert not rep.certified
+    rep = C.tau_report(
+        BetaSpec.parse("1.801937735804838252472204639014890102331"))
+    assert rep.regime == "inside_farey_high"
+    assert rep.witnesses["generator"] == "10"
+
+
 def test_tau_upper_never_exceeds_fixed_point():
     """32-point beta grid: tau_upper <= 1 - 1/beta throughout."""
     for i in range(32):

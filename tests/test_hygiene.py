@@ -45,3 +45,22 @@ def test_no_assert_statements_in_package():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_unused_imports():
+    # a name bound by an import must be read somewhere in its module
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append("%s:%d %s" % (path.name, node.lineno,
+                                                   name))
+    assert found == []

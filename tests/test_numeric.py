@@ -11,7 +11,7 @@ import pytest
 from mpmath.libmp import to_rational
 
 from betahole.errors import NotInQ, OutOfRange
-from betahole.sequences import EpSequence, is_in_Q, ONES
+from betahole.sequences import EpSequence, is_in_Q, lex_compare_ep, ONES
 from betahole import numeric as N
 from betahole.numeric import BetaSpec, Interval
 
@@ -108,6 +108,30 @@ def test_sign_polynomial_matches_projection():
         f = sum(c * x ** i for i, c in enumerate(N._sign_polynomial(a)))
         d = pi_exact(a, x) - 1
         assert (f > 0) - (f < 0) == (d > 0) - (d < 0), (a, x)
+
+
+def test_compare_is_exact_at_both_ends_of_every_bracket():
+    """A decimal base at the lower end of the 2^-100 bracket of beta(alpha)
+    lies below beta(alpha), one at the upper end above it."""
+    for a in set(small_Q()) - {ONES}:
+        b = N.beta_from_alpha(a)
+        assert BetaSpec(value=b.a).compare(a) == -1, a
+        assert BetaSpec(value=b.b).compare(a) == 1, a
+    assert BetaSpec.parse("2").compare(ONES) == 0
+    assert BetaSpec.parse("@(1)").compare(ONES) == 0
+
+
+def test_compare_symbolic_is_alpha_order():
+    seqs = sorted(set(small_Q()), key=str)[::7]
+    for a in seqs:
+        spec = BetaSpec(alpha=a)
+        for b in seqs:
+            assert spec.compare(b) == lex_compare_ep(a, b), (a, b)
+
+
+def test_compare_rejects_non_Q():
+    with pytest.raises(NotInQ):
+        BetaSpec.parse("1.5").compare(EpSequence.parse("(01)"))
 
 
 def test_beta_from_alpha_rejects_non_Q():
