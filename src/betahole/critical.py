@@ -33,15 +33,10 @@ def _cycle_structure(auto):
     transient prefix followed by one committed cycle.  cycle_info maps
     each cycle state to the periodic digit word read around its cycle.
     """
-    live = auto.live_states()
-    comps = auto.sccs(live)
+    live, cycles = auto.recurrence()
     in_cycle = {}
-    for comp in comps:
+    for comp in cycles:
         cset = set(comp)
-        nontrivial = len(comp) > 1 or any(
-            t == comp[0] for t in auto.transitions[comp[0]] if t is not None)
-        if not nontrivial:
-            continue
         # each state must have exactly one live outgoing edge, inside the comp
         succ = {}
         for s in comp:
@@ -168,15 +163,29 @@ class TauReport:
 
 
 def _locate(beta, recs):
-    """Index of the Farey interval (gamma_L, gamma_R] containing beta,
-    "left:i" if beta = gamma_L of record i, or None if outside all."""
-    for i, r in enumerate(recs):
+    """Place beta against the Farey atlas `recs`, sorted by alpha_L.
+
+    Returns ("left", rec) if beta = gamma_L of rec, ("inside", rec) if
+    beta lies in (gamma_L, gamma_R] of rec, else ("gap", width): the width
+    of the atlas gap around beta, from the highest gamma_R below it (else
+    1) to the lowest gamma_L above it (else 2).  One pass: the records
+    before the first gamma_L above beta all lie below it.
+    """
+    left = right = None
+    for r in recs:
         c = beta.compare(r.alpha_L)
         if c == 0:
-            return "left:%d" % i
-        if c > 0 and beta.compare(r.alpha_R) <= 0:
-            return i
-    return None
+            return "left", r
+        if c < 0:
+            right = r
+            break
+        if beta.compare(r.alpha_R) <= 0:
+            return "inside", r
+        if left is None or lex_compare_ep(r.alpha_R, left.alpha_R) > 0:
+            left = r
+    lo = float(left.beta_R.value.b) if left else 1.0
+    hi = float(right.beta_L.value.a) if right else 2.0
+    return "gap", hi - lo
 
 
 def tau_report(beta, atlas_depth=10):
@@ -189,18 +198,16 @@ def tau_report(beta, atlas_depth=10):
         return TauReport(beta, "outside_closure", 0.5, 0.5,
                          {"note": "doubling map"}, atlas_depth, True)
     recs = _farey_atlas(atlas_depth)
-    loc = _locate(beta, recs)
-    if isinstance(loc, str):
-        i = int(loc.split(":")[1])
-        a = recs[i].generator
+    where, found = _locate(beta, recs)
+    if where == "left":
+        a = found.generator
         return TauReport(
             beta, "left_endpoint",
             float_down(one_minus.a), float_up(one_minus.b),
             {"generator": a, "hole_expansion": a[::-1] + "(0)"},
             atlas_depth, True)
-    if loc is not None:
-        rec = recs[loc]
-        a = rec.generator
+    if where == "inside":
+        a = found.generator
         ts = t_star_sequence(a)
         td = t_diamond_sequence(a)
         tsv = N.project(ts, beta.value)
@@ -215,30 +222,17 @@ def tau_report(beta, atlas_depth=10):
         return TauReport(beta, "inside_farey_high",
                          float_down(tsv.a), float_up(tdv.b),
                          wit, atlas_depth, True)
-    # outside every atlas interval at this depth
-    gap = _gap_width(beta, recs)
-    if gap < 1e-6:
+    # outside every atlas interval at this depth: found is the gap width
+    if found < 1e-6:
         return TauReport(beta, "outside_closure",
                          float_down(one_minus.a),
                          float_up(one_minus.b),
-                         {"gap": gap}, atlas_depth, False,
+                         {"gap": found}, atlas_depth, False,
                          "atlas-depth limited")
     return TauReport(beta, "outside_closure",
                      0.0, float_up(one_minus.b),
-                     {"gap": gap}, atlas_depth, False,
+                     {"gap": found}, atlas_depth, False,
                      "inconclusive: atlas gap exceeds tolerance")
-
-
-def _gap_width(beta, recs):
-    """Width of the atlas gap around beta: from the highest beta_R at or
-    below it (else 1) to the lowest beta_L at or above it (else 2)."""
-    left, right = 1.0, 2.0
-    for r in recs:
-        if beta.compare(r.alpha_R) >= 0:
-            left = max(left, float(r.beta_R.value.b))
-        elif beta.compare(r.alpha_L) <= 0:
-            right = min(right, float(r.beta_L.value.a))
-    return right - left
 
 
 def tau_json(report, digits=12):

@@ -22,6 +22,9 @@ from .numeric import Interval, float_down, float_up
 
 #: most automaton states compile() builds before raising StateCapExceeded
 STATE_CAP = 10 ** 6
+#: power iteration on one component stops when the Perron bracket is
+#: narrower than PERRON_TOL, or after PERRON_MAX_STEPS steps
+PERRON_TOL, PERRON_MAX_STEPS = 1e-9, 20000
 
 
 @dataclass(frozen=True)
@@ -122,71 +125,49 @@ class SubshiftAutomaton:
             v = w
         return sum(v)
 
-    def live_states(self):
-        """States with arbitrarily long outgoing paths (can reach a cycle)."""
-        n = len(self.transitions)
-        alive = set(range(n))
-        changed = True
-        while changed:
-            changed = False
-            for s in list(alive):
-                if not any(t in alive for t in self.transitions[s]
-                           if t is not None):
-                    alive.remove(s)
-                    changed = True
-        return alive
+    def recurrence(self):
+        """(live, cycles): the states with arbitrarily long outgoing paths,
+        and the strongly connected components that hold a cycle.
 
-    def sccs(self, restrict=None):
-        """Tarjan's strongly connected components, iteratively."""
-        nodes = restrict if restrict is not None else set(
-            range(len(self.transitions)))
-        index = {}
-        low = {}
-        on_stack = set()
-        stack = []
-        out = []
-        counter = [0]
-        for root in nodes:
-            if root in index:
-                continue
-            work = [(root, iter([t for t in self.transitions[root]
-                                 if t is not None and t in nodes]))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                v, it = work[-1]
-                advanced = False
-                for w in it:
-                    if w not in index:
-                        index[w] = low[w] = counter[0]
-                        counter[0] += 1
-                        stack.append(w)
-                        on_stack.add(w)
-                        work.append(
-                            (w, iter([t for t in self.transitions[w]
-                                      if t is not None and t in nodes])))
-                        advanced = True
-                        break
-                    elif w in on_stack:
-                        low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
+        One iterative pass of Tarjan's algorithm from the start state,
+        which reaches every state.  Tarjan closes a component only after
+        every component it reaches, so a component is live when it holds
+        a cycle (two or more states, or a self-loop) or has an edge into
+        a live state.
+        """
+        succ = [[t for t in row if t is not None] for row in self.transitions]
+        index, low = {self.start: 0}, {self.start: 0}
+        stack, on_stack = [self.start], {self.start}
+        work = [(self.start, iter(succ[self.start]))]
+        live, cycles = set(), []
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                # every successor of v is explored: v is finished
                 work.pop()
                 if work:
                     u = work[-1][0]
                     low[u] = min(low[u], low[v])
                 if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.remove(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    out.append(comp)
-        return out
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    on_stack.difference_update(comp)
+                    if len(comp) > 1 or v in succ[v]:
+                        cycles.append(comp)
+                        live.update(comp)
+                    elif any(t in live for t in succ[v]):
+                        live.add(v)
+        return live, cycles
 
 
 def compile(shift):
@@ -228,7 +209,7 @@ class EntropyBracket:
     empty: bool = False
 
 
-def _scc_spectral_radius(auto, comp, tol=1e-9, max_iter=20000):
+def _scc_spectral_radius(auto, comp):
     """Certified bracket for the largest eigenvalue of the adjacency matrix
     restricted to one strongly connected component of two or more states.
 
@@ -255,7 +236,7 @@ def _scc_spectral_radius(auto, comp, tol=1e-9, max_iter=20000):
     x = [1.0] * k + [0.0]
     best_lo, best_hi = 0.0, float("inf")
     done = 0
-    while done < max_iter:
+    while done < PERRON_MAX_STEPS:
         for _ in range(49):
             x = [xi + x[a] + x[b] for xi, a, b in zip(x, succ_a, succ_b)]
             x.append(0.0)
@@ -267,7 +248,7 @@ def _scc_spectral_radius(auto, comp, tol=1e-9, max_iter=20000):
         x = [yi / top for yi in y]
         x.append(0.0)
         done += 50
-        if best_hi - best_lo < tol:
+        if best_hi - best_lo < PERRON_TOL:
             break
     lam_lo = max(best_lo - 1.0 - 1e-12, 0.0)
     lam_hi = best_hi - 1.0 + 1e-12
@@ -281,22 +262,18 @@ def entropy(shift):
     of the recurrent part of the compiled automaton.
     """
     auto = compile(shift)
-    alive = auto.live_states()
-    if auto.start not in alive:
+    live, cycles = auto.recurrence()
+    if auto.start not in live:
         return EntropyBracket(0.0, 0.0, "automaton_exact", empty=True)
     lam_lo, lam_hi = 0.0, 0.0
-    for comp in auto.sccs(alive):
+    for comp in cycles:
         if len(comp) == 1:
-            s = comp[0]
-            loops = sum(1 for t in auto.transitions[s] if t == s)
-            lo = hi = float(loops)
+            # one state with one or two self-loops
+            lo = hi = float(auto.transitions[comp[0]].count(comp[0]))
         else:
             lo, hi = _scc_spectral_radius(auto, comp)
         lam_lo = max(lam_lo, lo)
         lam_hi = max(lam_hi, hi)
-    if lam_hi < 1.0:
-        # recurrent part exists, so some cycle does; guard rounding
-        lam_hi = 1.0
     h_lo = log2(lam_lo) if lam_lo > 1.0 else 0.0
     h_hi = log2(lam_hi) if lam_hi > 1.0 else 0.0
     return EntropyBracket(max(h_lo, 0.0), max(h_hi, h_lo, 0.0),
@@ -381,23 +358,15 @@ def dimension(beta, t, horizon=N.DEFAULT_HORIZON):
         t = PointSpec(value=t)
     a_seq, a_pref = alpha_bounds(beta, horizon)
     t_seq, t_pref = t.expansion(beta, horizon)
+    lo_out = EpSequence(t_pref, "0") if t_seq is None else t_seq
+    lo_in = EpSequence(t_pref, "1") if t_seq is None else t_seq
+    up_out = EpSequence(a_pref, "1") if a_seq is None else a_seq
+    up_in = EpSequence(a_pref, "0") if a_seq is None else a_seq
     exact = a_seq is not None and t_seq is not None
-    if exact:
-        shift = LexSubshift(t_seq, a_seq)
-        br = entropy(shift)
-        h_lo, h_hi = br.lower_bound, br.upper_bound
-        method = br.method
-        empty = br.empty
-    else:
-        lo_out = EpSequence(t_pref, "0") if t_seq is None else t_seq
-        lo_in = EpSequence(t_pref, "1") if t_seq is None else t_seq
-        up_out = EpSequence(a_pref, "1") if a_seq is None else a_seq
-        up_in = EpSequence(a_pref, "0") if a_seq is None else a_seq
-        outer = entropy(LexSubshift(lo_out, up_out))
-        inner = entropy(LexSubshift(lo_in, up_in))
-        h_lo, h_hi = inner.lower_bound, outer.upper_bound
-        method = "automaton_outer_inner"
-        empty = outer.empty
+    outer = entropy(LexSubshift(lo_out, up_out))
+    inner = outer if exact else entropy(LexSubshift(lo_in, up_in))
+    h_lo, h_hi = inner.lower_bound, outer.upper_bound
+    method = "automaton_exact" if exact else "automaton_outer_inner"
     lb = beta.value.log2()
     dim_lo = min(max(float_down(Fraction(h_lo) / lb.b), 0.0), 1.0)
     dim_hi = min(max(float_up(Fraction(h_hi) / lb.a), 0.0), 1.0)
@@ -405,4 +374,4 @@ def dimension(beta, t, horizon=N.DEFAULT_HORIZON):
         raise CertificateFailed(
             "dimension bracket certificate failed: lower %r above upper %r"
             % (dim_lo, dim_hi))
-    return DimensionReport(h_lo, h_hi, dim_lo, dim_hi, method, empty)
+    return DimensionReport(h_lo, h_hi, dim_lo, dim_hi, method, outer.empty)

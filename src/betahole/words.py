@@ -116,7 +116,7 @@ def max_rotation(w):
 
 
 @lru_cache(maxsize=None)
-def farey_level(n, max_level=MAX_FAREY_LEVEL):
+def farey_level(n):
     """The n-th level of the Farey recursion as an ordered tuple.
 
     Level 0 is ("0", "1"); level n interleaves level n-1 with the
@@ -124,11 +124,12 @@ def farey_level(n, max_level=MAX_FAREY_LEVEL):
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if n > max_level:
-        raise LevelTooLarge("level %d exceeds maximum %d" % (n, max_level))
+    if n > MAX_FAREY_LEVEL:
+        raise LevelTooLarge(
+            "level %d exceeds maximum %d" % (n, MAX_FAREY_LEVEL))
     if n == 0:
         return ("0", "1")
-    prev = farey_level(n - 1, max_level)
+    prev = farey_level(n - 1)
     out = []
     for i, w in enumerate(prev):
         out.append(w)

@@ -4,7 +4,7 @@ import pytest
 
 from betahole.errors import NotFareyReflection
 from betahole.sequences import EpSequence, lex_compare_ep
-from betahole.numeric import BetaSpec, project
+from betahole.numeric import BetaSpec, beta_from_alpha, project
 from betahole import critical as C
 from betahole import bifurcation as B
 from betahole import words as W
@@ -146,3 +146,27 @@ def test_bracket_chain_inside_intervals():
             lim = 1 - 1 / bv
             assert ts.a <= td.b
             assert td.b < lim.a
+
+
+def test_outside_closure_gap_matches_all_records_formula():
+    """The one-pass gap equals the width from the highest beta_R at or
+    below beta (else 1) to the lowest beta_L at or above it (else 2)."""
+    for b in ["1.57", "1.05"]:
+        beta = BetaSpec.parse(b)
+        left, right = 1.0, 2.0
+        for r in C._farey_atlas(10):
+            if beta.compare(r.alpha_R) >= 0:
+                left = max(left, float(r.beta_R.value.b))
+            elif beta.compare(r.alpha_L) <= 0:
+                right = min(right, float(r.beta_L.value.a))
+        rep = C.tau_report(beta)
+        assert rep.regime == "outside_closure", b
+        assert rep.witnesses["gap"] == right - left, b
+
+
+def test_outside_closure_gap_solves_at_most_two_roots():
+    for b in ["1.57", "1.05"]:
+        beta = BetaSpec.parse(b)
+        beta_from_alpha.cache_clear()
+        assert C.tau_report(beta).regime == "outside_closure"
+        assert beta_from_alpha.cache_info().misses <= 2, b

@@ -64,3 +64,26 @@ def test_no_unused_imports():
                         found.append("%s:%d %s" % (path.name, node.lineno,
                                                    name))
     assert found == []
+
+
+def test_no_unreferenced_private_functions():
+    # every private module-level function and private method is used
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PKG.glob("*.py"))]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defined = []
+    for tree in trees:
+        scopes = [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]
+        for scope in scopes:
+            defined += [n.name for n in scope.body
+                        if isinstance(n, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                        and n.name.startswith("_")
+                        and not n.name.startswith("__")]
+    assert defined and [name for name in defined if name not in used] == []

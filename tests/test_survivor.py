@@ -127,6 +127,35 @@ def test_automaton_matches_brute_force():
             assert auto.count_paths(n) == count_words_brute(sh, n), sh
 
 
+def test_recurrence_matches_reachability_oracle():
+    """live and cycles against a brute-force reachability oracle on 600
+    seeded random shifts: a state is live iff it reaches a state on a
+    cycle, and the cyclic components are the classes of mutually
+    reachable cycle states."""
+    rng = random.Random(11)
+    for _ in range(600):
+        auto = compile(random_subshift(rng))
+        trans = auto.transitions
+        reach = []   # states reachable in one or more steps
+        for s in range(len(trans)):
+            seen, todo = set(), [t for t in trans[s] if t is not None]
+            while todo:
+                t = todo.pop()
+                if t not in seen:
+                    seen.add(t)
+                    todo += [u for u in trans[t] if u is not None]
+            reach.append(seen)
+        on_cycle = {s for s in range(len(trans)) if s in reach[s]}
+        live, cycles = auto.recurrence()
+        assert live == {s for s in range(len(trans))
+                        if s in on_cycle or reach[s] & on_cycle}
+        comps = [frozenset(c) for c in cycles]
+        assert len(set(comps)) == len(comps)
+        assert set(comps) == {frozenset({s} | {t for t in reach[s]
+                                               if s in reach[t]})
+                              for s in on_cycle}
+
+
 def test_counts_are_submultiplicative():
     rng = random.Random(7)
     shifts = [GOLDEN_MEAN] + [random_subshift(rng) for _ in range(5)]
