@@ -151,8 +151,7 @@ def test_recurrence_matches_reachability_oracle():
                         if s in on_cycle or reach[s] & on_cycle}
         comps = [frozenset(c) for c in cycles]
         assert len(set(comps)) == len(comps)
-        assert set(comps) == {frozenset({s} | {t for t in reach[s]
-                                               if s in reach[t]})
+        assert set(comps) == {frozenset(t for t in reach[s] if s in reach[t])
                               for s in on_cycle}
 
 
