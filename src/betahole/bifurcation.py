@@ -139,6 +139,28 @@ def nesting_relation(i1, i2):
         (i1.generator, i2.generator))
 
 
+def nesting(recs):
+    """Every non-disjoint pair (i, j, relation), i < j, of records sorted
+    by alpha_L, as atlas() returns them, in one stack pass.
+
+    The stack holds a chain of nested intervals: records that end at or
+    before the current alpha_L leave it, and the top is checked against
+    the current record by nesting_relation, which raises CertificateFailed
+    on a partial overlap (in alpha_L order any partial overlap reaches the
+    top).  The current record lies inside every record left on the stack.
+    """
+    pairs, stack = [], []
+    for j, rec in enumerate(recs):
+        while stack and lex_compare_ep(recs[stack[-1]].alpha_R,
+                                       rec.alpha_L) <= 0:
+            stack.pop()
+        if stack:
+            rel = nesting_relation(recs[stack[-1]], rec)
+            pairs += [(i, j, rel) for i in stack]
+        stack.append(j)
+    return sorted(pairs)
+
+
 @dataclass(frozen=True)
 class DoublingInterval:
     word: str

@@ -152,15 +152,9 @@ def atlas(max_len, kind, digits, nesting):
     recs = B.atlas(max_len, kind)
     doc = {"intervals": B.atlas_json(recs, digits)}
     if nesting:
-        rel = []
-        for i in range(len(recs)):
-            for j in range(i + 1, len(recs)):
-                r = B.nesting_relation(recs[i], recs[j])
-                if r != "disjoint":
-                    rel.append({"first": recs[i].generator,
-                                "second": recs[j].generator,
-                                "relation": r})
-        doc["nesting"] = rel
+        doc["nesting"] = [{"first": recs[i].generator,
+                           "second": recs[j].generator, "relation": r}
+                          for i, j, r in B.nesting(recs)]
     click.echo(json.dumps(doc, indent=2))
 
 

@@ -11,7 +11,6 @@ undecided.
 """
 
 import math
-from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -100,11 +99,22 @@ class Interval:
 
     def nstr(self, n):
         """The midpoint to n significant digits, rounded half up, in
-        fixed notation with trailing zeros stripped down to one decimal."""
-        m, ctx = self.mid(), Context(prec=n, rounding=ROUND_HALF_UP)
-        d = ctx.divide(Decimal(m.numerator), Decimal(m.denominator))
-        s = "{:f}".format(d.normalize(ctx))
-        return s if "." in s else s + ".0"
+        fixed notation with trailing zeros stripped down to one decimal,
+        in integer arithmetic on the midpoint's numerator and denominator."""
+        m = self.mid()
+        p, q = abs(m.numerator), m.denominator
+        e = len(str(p)) - len(str(q))   # 10^(e-1) < p/q < 10^(e+1)
+        if p * 10 ** max(-e, 0) < q * 10 ** max(e, 0):
+            e -= 1
+        s = n - 1 - e                   # decimals kept
+        num, den = p * 10 ** max(s, 0), q * 10 ** max(-s, 0)
+        d = (2 * num + den) // (2 * den)
+        while s > 0 and d % 10 == 0:
+            d, s = d // 10, s - 1
+        if s <= 0:
+            d, s = d * 10 ** (1 - s), 1
+        whole, frac = divmod(d, 10 ** s)
+        return "%s%d.%0*d" % ("-" if m < 0 else "", whole, s, frac)
 
     def log2(self):
         """Enclosure of log2 over the interval, for 1 <= a <= b <= 2."""
@@ -329,6 +339,7 @@ class BetaSpec:
             if not (self.value.a > 1 and self.value.b <= 2):
                 raise OutOfRange("base must lie in (1, 2]")
             self.alpha = None
+        self._alphas = {}
 
     @classmethod
     def parse(cls, text):
@@ -360,19 +371,24 @@ class BetaSpec:
             qk *= q
         return (v < 0) - (v > 0)
 
+    def _alpha(self, n):
+        """alpha_of_beta(self.value, n), expanded once per n."""
+        if n not in self._alphas:
+            self._alphas[n] = alpha_of_beta(self.value, n)
+        return self._alphas[n]
+
     def alpha_prefix(self, n):
         """First n digits of alpha(beta), with a certification flag."""
         if self.symbolic:
             return self.alpha.prefix(n), True
-        digits, certified, _ = alpha_of_beta(self.value, n)
+        digits, certified, _ = self._alpha(n)
         return digits, certified and len(digits) == n
 
     def alpha_sequence(self, n=DEFAULT_HORIZON):
         """An EpSequence for alpha(beta) if one can be certified, else None."""
         if self.symbolic:
             return self.alpha
-        _, _, seq = alpha_of_beta(self.value, n)
-        return seq
+        return self._alpha(n)[2]
 
     def __repr__(self):
         if self.symbolic:

@@ -329,11 +329,9 @@ def greedy_sequence(x, beta, horizon=N.DEFAULT_HORIZON):
 
 
 def alpha_bounds(beta, horizon=N.DEFAULT_HORIZON):
-    """(exact alpha EpSequence or None, certified prefix) for a BetaSpec."""
-    if beta.symbolic:
-        return beta.alpha, beta.alpha.prefix(horizon)
-    digits, _, seq = N.alpha_of_beta(beta.value, horizon)
-    return seq, digits
+    """(exact alpha EpSequence or None, certified prefix) for a BetaSpec;
+    the expansion of 1 is memoised on the BetaSpec, once per horizon."""
+    return beta.alpha_sequence(horizon), beta.alpha_prefix(horizon)[0]
 
 
 @dataclass

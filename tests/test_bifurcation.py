@@ -124,6 +124,32 @@ def test_nesting_relation():
         B.nesting_relation(first, second)
 
 
+def pair_loop_nesting(recs):
+    """The quadratic loop B.nesting replaced, kept as its oracle."""
+    out = []
+    for i in range(len(recs)):
+        for j in range(i + 1, len(recs)):
+            rel = B.nesting_relation(recs[i], recs[j])
+            if rel != "disjoint":
+                out.append((i, j, rel))
+    return out
+
+
+def test_nesting_matches_pair_loop():
+    for max_len, kind in ((10, "all"), (12, "farey")):
+        recs = B.atlas(max_len, kind)
+        want = pair_loop_nesting(recs)
+        assert B.nesting(recs) == want, (max_len, kind)
+        assert want or kind == "farey"   # Farey intervals are disjoint
+
+
+def test_nesting_raises_on_partial_overlap():
+    first = B.IntervalRecord("x", "x", E("(100)"), E("(110)"), "basic")
+    second = B.IntervalRecord("y", "y", E("(101)"), E("(1110)"), "basic")
+    with pytest.raises(CertificateFailed, match="laminarity"):
+        B.nesting([first, second])
+
+
 def test_basic_intervals_nested_or_disjoint_up_to_8():
     recs = [B.basic_interval(a) for a in B.generators(8)]
     for i in range(len(recs)):

@@ -66,6 +66,24 @@ def test_no_unused_imports():
     assert found == []
 
 
+def test_no_decimal_in_package():
+    # printed decimals come from integer arithmetic; a request that first
+    # calls into the _decimal extension maps its code pages
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += ["%s:%d" % (path.name, node.lineno) for name in names
+                      if name.split(".")[0] == "decimal"]
+    assert found == []
+
+
 def test_no_unreferenced_private_functions():
     # every private module-level function and private method is used
     trees = [ast.parse(path.read_text(), filename=str(path))

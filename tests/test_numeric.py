@@ -3,6 +3,7 @@
 import math
 import random
 import signal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -274,6 +275,38 @@ def test_interval_nstr_matches_mpmath():
                     mpmath.mpf(m.numerator) / m.denominator, n), (m, n)
     assert Interval(2).nstr(17) == "2.0"
     assert Interval("1.7").nstr(17) == "1.7"
+
+
+def decimal_nstr(m, n):
+    """The Decimal routine Interval.nstr replaced, kept as its oracle."""
+    ctx = Context(prec=n, rounding=ROUND_HALF_UP)
+    d = ctx.divide(Decimal(m.numerator), Decimal(m.denominator))
+    s = "{:f}".format(d.normalize(ctx))
+    return s if "." in s else s + ".0"
+
+
+def test_interval_nstr_matches_decimal_oracle():
+    rng = random.Random(12)
+    values = []
+    for _ in range(600):
+        values.append(Fraction(rng.getrandbits(rng.randint(1, 200)),
+                               2 ** rng.randint(0, 200)))
+        values.append(Fraction(rng.randint(-10 ** 15, 10 ** 15),
+                               rng.randint(1, 10 ** 15)))
+        values.append(Fraction(rng.randint(1, 10 ** 6))
+                      * Fraction(10) ** rng.randint(-26, 14))
+    for m in values:
+        for n in (1, 2, 3, 6, 14, 17, 20):
+            assert Interval(m).nstr(n) == decimal_nstr(m, n), (m, n)
+
+
+def test_interval_nstr_edge_cases():
+    assert Interval(0).nstr(17) == "0.0"
+    assert Interval(123456789).nstr(3) == "123000000.0"
+    assert Interval("0.99995").nstr(4) == "1.0"
+    assert Interval("5e-9").nstr(17) == "0.000000005"
+    assert Interval(Fraction(-3, 7)).nstr(4) == "-0.4286"
+    assert Interval(Fraction(-1, 2), Fraction(1, 2)).nstr(6) == "0.0"
 
 
 def test_float_rounding_is_directed():

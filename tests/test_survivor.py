@@ -14,6 +14,7 @@ from betahole.survivor import (LexSubshift, PointSpec, compile, count_words,
                                count_words_brute, dimension, entropy,
                                membership, reduce_upper)
 from betahole.numeric import BetaSpec, beta_from_alpha
+from betahole import numeric as N
 
 E = EpSequence.parse
 
@@ -245,3 +246,17 @@ def test_dimension_monotone_in_t():
             if prev is not None:
                 assert rep.dim_upper <= prev + 2 * width + 1e-9
             prev = rep.dim_upper
+
+
+def test_dimension_expands_alpha_once_per_base(monkeypatch):
+    calls, expand = [], N.alpha_of_beta
+
+    def counted(beta, n=N.DEFAULT_HORIZON):
+        calls.append(n)
+        return expand(beta, n)
+
+    monkeypatch.setattr(N, "alpha_of_beta", counted)
+    beta = BetaSpec.parse("1.457")
+    for k in range(16):
+        dimension(beta, PointSpec(value=Fraction(k, 50)))
+    assert calls == [N.DEFAULT_HORIZON]
