@@ -166,10 +166,10 @@ def _locate(beta, recs):
     """Place beta against the Farey atlas `recs`, sorted by alpha_L.
 
     Returns ("left", rec) if beta = gamma_L of rec, ("inside", rec) if
-    beta lies in (gamma_L, gamma_R] of rec, else ("gap", width): the width
-    of the atlas gap around beta, from the highest gamma_R below it (else
-    1) to the lowest gamma_L above it (else 2).  One pass: the records
-    before the first gamma_L above beta all lie below it.
+    beta lies in (gamma_L, gamma_R] of rec, else ("gap", w): w >= the atlas
+    gap around beta, from the highest gamma_R bracket below (else 1) to the
+    lowest gamma_L bracket above (else 2).  One pass: the records before
+    the first gamma_L above beta all lie below it.
     """
     left = right = None
     for r in recs:
@@ -183,8 +183,8 @@ def _locate(beta, recs):
             return "inside", r
         if left is None or lex_compare_ep(r.alpha_R, left.alpha_R) > 0:
             left = r
-    lo = float(left.beta_R.value.b) if left else 1.0
-    hi = float(right.beta_L.value.a) if right else 2.0
+    lo = left.beta_R.value.a if left else 1
+    hi = right.beta_L.value.b if right else 2
     return "gap", hi - lo
 
 
@@ -222,16 +222,16 @@ def tau_report(beta, atlas_depth=10):
         return TauReport(beta, "inside_farey_high",
                          float_down(tsv.a), float_up(tdv.b),
                          wit, atlas_depth, True)
-    # outside every atlas interval at this depth: found is the gap width
+    # outside every atlas interval at this depth: found >= the gap width
     if found < 1e-6:
         return TauReport(beta, "outside_closure",
                          float_down(one_minus.a),
                          float_up(one_minus.b),
-                         {"gap": found}, atlas_depth, False,
+                         {"gap": float_up(found)}, atlas_depth, False,
                          "atlas-depth limited")
     return TauReport(beta, "outside_closure",
                      0.0, float_up(one_minus.b),
-                     {"gap": found}, atlas_depth, False,
+                     {"gap": float_up(found)}, atlas_depth, False,
                      "inconclusive: atlas gap exceeds tolerance")
 
 

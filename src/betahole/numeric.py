@@ -118,7 +118,7 @@ class Interval:
 
     def log2(self):
         """Enclosure of log2 over the interval, for 1 <= a <= b <= 2."""
-        return Interval._ends(*_log2(self.a, self.b))
+        return Interval._ends(*_log2_cached(self.a, self.b))
 
     def __repr__(self):
         return "Interval(%s, %s)" % (self.a, self.b)
@@ -149,25 +149,41 @@ def _half_ln(x, up):
 _HALF_LN2 = (_half_ln(Fraction(2), False), _half_ln(Fraction(2), True))
 
 
-@lru_cache(maxsize=None)
 def _log2(a, b):
-    """Fraction bracket (lo, hi) of log2 over [a, b]."""
+    """Fraction bracket (lo, hi) of log2 over [a, b], one series per end."""
     if not 1 <= a <= b <= 2:
         raise ValueError("log2 bracket needs 1 <= %s <= %s <= 2" % (a, b))
     return (Fraction(_half_ln(a, False), _HALF_LN2[1]),
             Fraction(_half_ln(b, True), _HALF_LN2[0]))
 
 
+_log2_cached = lru_cache(maxsize=None)(_log2)
+
+
+def _next_float(f, up):
+    """The float after f toward +inf (up=True) or -inf: f plus or minus
+    the float spacing there, a power of two; the float sum is exact."""
+    if f < 0 or (f == 0 and not up):
+        return -_next_float(-f, not up)
+    n, d = f.as_integer_ratio()
+    # spacing 2^(k-52) for 2^k <= f < 2^(k+1), half that just below a power
+    # of two, and at least 2^-1074, the subnormal spacing and step from 0
+    e = n.bit_length() - d.bit_length() - 52 - (not up and not n & (n - 1))
+    e = max(e, -1074) if n else -1074
+    step = float(1 << e) if e >= 0 else 1 / (1 << -e)
+    return f + step if up else f - step
+
+
 def float_down(q):
     """Largest float at or below the rational q."""
     f = float(q)
-    return math.nextafter(f, -math.inf) if Fraction(f) > q else f
+    return _next_float(f, False) if Fraction(f) > q else f
 
 
 def float_up(q):
     """Smallest float at or above the rational q."""
     f = float(q)
-    return math.nextafter(f, math.inf) if Fraction(f) < q else f
+    return _next_float(f, True) if Fraction(f) < q else f
 
 
 def fixed(x, digits, up):

@@ -13,7 +13,6 @@ prefix on the wrong side kills the path.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import log2
 
 from .errors import CertificateFailed, StateCapExceeded, TooLarge
 from .sequences import EpSequence, lex_compare_ep
@@ -210,7 +209,7 @@ class EntropyBracket:
 
 
 def _scc_spectral_radius(auto, comp):
-    """Certified bracket for the largest eigenvalue of the adjacency matrix
+    """Exact bracket for the largest eigenvalue of the adjacency matrix
     restricted to one strongly connected component of two or more states.
 
     Sparse power iteration on B = A + I, which is primitive on a strongly
@@ -219,9 +218,9 @@ def _scc_spectral_radius(auto, comp):
     step is y_i = x_i + x[a_i] + x[b_i].  Every 50th step is a checkpoint:
     the Collatz-Wielandt min and max of (Bx)_i / x_i bracket the Perron
     root of B for any positive x, and x is renormalised.  The 49 steps in
-    between grow entries by at most 3^49, far from overflow.  Under power
-    iteration the bounds are monotone, so the newest checkpoint is the
-    tightest; the bracket is padded by 1e-12 for float rounding.
+    between grow entries by at most 3^49, far from overflow.  The last x
+    is certified exactly, as integers over one power of two, with the
+    extreme ratios picked by integer cross-multiplication: no pad.
     """
     idx = {s: i for i, s in enumerate(comp)}
     k = len(comp)
@@ -232,7 +231,7 @@ def _scc_spectral_radius(auto, comp):
         succ_b.append(succ[1])
     if all(b == k for b in succ_b):
         # one successor per state: a bare cycle, spectral radius exactly 1
-        return 1.0, 1.0
+        return 1, 1
     x = [1.0] * k + [0.0]
     best_lo, best_hi = 0.0, float("inf")
     done = 0
@@ -250,33 +249,48 @@ def _scc_spectral_radius(auto, comp):
         done += 50
         if best_hi - best_lo < PERRON_TOL:
             break
-    lam_lo = max(best_lo - 1.0 - 1e-12, 0.0)
-    lam_hi = best_hi - 1.0 + 1e-12
-    return lam_lo, lam_hi
+    if min(x[:k]) <= 0:
+        raise CertificateFailed("Perron vector has a non-positive entry")
+    parts = [xi.as_integer_ratio() for xi in x[:k]]
+    den = max(d for _, d in parts)
+    X = [n * (den // d) for n, d in parts] + [0]
+    Y = [xi + X[a] + X[b] for xi, a, b in zip(X, succ_a, succ_b)]
+    lo = hi = 0
+    for i in range(1, k):
+        if Y[i] * X[lo] < Y[lo] * X[i]:
+            lo = i
+        elif Y[i] * X[hi] > Y[hi] * X[i]:
+            hi = i
+    # the out-degree is at most 2, so is the spectral radius
+    return Fraction(Y[lo], X[lo]) - 1, min(Fraction(Y[hi], X[hi]) - 1, 2)
 
 
 def entropy(shift):
     """Topological entropy bracket in bits.
 
-    method=automaton_exact: log2 of the certified spectral-radius bracket
-    of the recurrent part of the compiled automaton.
+    method=automaton_exact: log2 of the exact spectral-radius bracket of
+    the recurrent part of the compiled automaton, by one series for each
+    end, rounded outward.
     """
     auto = compile(shift)
     live, cycles = auto.recurrence()
     if auto.start not in live:
         return EntropyBracket(0.0, 0.0, "automaton_exact", empty=True)
-    lam_lo, lam_hi = 0.0, 0.0
+    # a live start reaches a cycle, so the spectral radius is at least 1
+    lam_lo = lam_hi = 1
     for comp in cycles:
         if len(comp) == 1:
             # one state with one or two self-loops
-            lo = hi = float(auto.transitions[comp[0]].count(comp[0]))
+            lo = hi = auto.transitions[comp[0]].count(comp[0])
         else:
             lo, hi = _scc_spectral_radius(auto, comp)
         lam_lo = max(lam_lo, lo)
         lam_hi = max(lam_hi, hi)
-    h_lo = log2(lam_lo) if lam_lo > 1.0 else 0.0
-    h_hi = log2(lam_hi) if lam_hi > 1.0 else 0.0
-    return EntropyBracket(max(h_lo, 0.0), max(h_hi, h_lo, 0.0),
+    # uncached, as lambda differs on every call; log2 2 = 1 exactly, where
+    # the series ends round away from it
+    h_lo, h_hi = N._log2(lam_lo, lam_hi)
+    return EntropyBracket(1.0 if lam_lo == 2 else float_down(h_lo),
+                          1.0 if lam_hi == 2 else float_up(h_hi),
                           "automaton_exact")
 
 

@@ -1,10 +1,12 @@
 """Critical hole size: Z-sets, approximants, emptiness, tau regimes."""
 
+from fractions import Fraction
+
 import pytest
 
 from betahole.errors import NotFareyReflection
 from betahole.sequences import EpSequence, lex_compare_ep
-from betahole.numeric import BetaSpec, beta_from_alpha, project
+from betahole.numeric import BetaSpec, beta_from_alpha, float_up, project
 from betahole import critical as C
 from betahole import bifurcation as B
 from betahole import words as W
@@ -149,19 +151,26 @@ def test_bracket_chain_inside_intervals():
 
 
 def test_outside_closure_gap_matches_all_records_formula():
-    """The one-pass gap equals the width from the highest beta_R at or
-    below beta (else 1) to the lowest beta_L at or above it (else 2)."""
+    """The one-pass gap is the width, rounded up, from the lower end of
+    the highest beta_R bracket at or below beta (else 1) to the upper end
+    of the lowest beta_L bracket at or above it (else 2), and bounds the
+    exact gap between the brackets from above."""
     for b in ["1.57", "1.05"]:
         beta = BetaSpec.parse(b)
-        left, right = 1.0, 2.0
+        left, right = Fraction(1), Fraction(2)
+        inner_left, inner_right = left, right
         for r in C._farey_atlas(10):
             if beta.compare(r.alpha_R) >= 0:
-                left = max(left, float(r.beta_R.value.b))
+                left = max(left, r.beta_R.value.a)
+                inner_left = max(inner_left, r.beta_R.value.b)
             elif beta.compare(r.alpha_L) <= 0:
-                right = min(right, float(r.beta_L.value.a))
+                right = min(right, r.beta_L.value.b)
+                inner_right = min(inner_right, r.beta_L.value.a)
         rep = C.tau_report(beta)
         assert rep.regime == "outside_closure", b
-        assert rep.witnesses["gap"] == right - left, b
+        gap = rep.witnesses["gap"]
+        assert gap == float_up(right - left), b
+        assert inner_right - inner_left < right - left <= Fraction(gap), b
 
 
 def test_outside_closure_gap_solves_at_most_two_roots():

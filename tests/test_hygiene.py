@@ -84,6 +84,26 @@ def test_no_decimal_in_package():
     assert found == []
 
 
+def test_no_libm_rounding_calls_in_package():
+    # logs and directed rounding use integer arithmetic; a request that
+    # first calls math.log2 or math.nextafter maps libm's code pages
+    banned = {"log2", "nextafter", "ulp"}
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr] if isinstance(node.value, ast.Name) \
+                    and node.value.id == "math" else []
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in names if name in banned]
+    assert found == []
+
+
 def test_no_unreferenced_private_functions():
     # every private module-level function and private method is used
     trees = [ast.parse(path.read_text(), filename=str(path))

@@ -321,6 +321,40 @@ def test_float_rounding_is_directed():
     assert N.float_down(Fraction(7, 32)) == N.float_up(Fraction(7, 32))
 
 
+def nextafter_down(q):
+    f = float(q)
+    return math.nextafter(f, -math.inf) if Fraction(f) > q else f
+
+
+def nextafter_up(q):
+    f = float(q)
+    return math.nextafter(f, math.inf) if Fraction(f) < q else f
+
+
+def test_float_rounding_matches_nextafter_oracle():
+    """float_down and float_up step in integer arithmetic; math.nextafter
+    is the reference, with the sign of zero compared too."""
+    rng = random.Random(13)
+    qs = [Fraction(0)]
+    for _ in range(3000):
+        p = rng.randint(1, 10 ** rng.randint(1, 40))
+        q = rng.randint(1, 10 ** rng.randint(1, 40))
+        qs.append(Fraction(rng.choice((-1, 1)) * p, q))
+    for k in range(-60, 61):
+        x = Fraction(2) ** k
+        nudge = x / 2 ** 80
+        qs += [x, x + nudge, x - nudge]
+    tiny = Fraction(1, 2 ** 1074)   # the smallest subnormal
+    qs += [tiny, tiny / 2, tiny / 3, tiny * 2 / 3, tiny * Fraction(5, 2),
+           Fraction(2) ** -1022 * (1 - Fraction(1, 2 ** 60)),
+           Fraction(1, 10 ** 330), Fraction(7, 10 ** 320)]
+    for q in qs + [-q for q in qs]:
+        for got, want in ((N.float_down(q), nextafter_down(q)),
+                          (N.float_up(q), nextafter_up(q))):
+            assert got == want, q
+            assert math.copysign(1, got) == math.copysign(1, want), q
+
+
 def test_alpha_of_rational_base_has_no_closed_form():
     assert N.alpha_of_beta(Interval(2))[2] == ONES
     for text in ("1.7", "1.618", "1.8392867552141611325518525646532866004241"):
