@@ -37,7 +37,41 @@ def _fmt(x, digits):
     return ("%%.%df" % digits) % x
 
 
-@click.group()
+def _at_least(low):
+    """Option callback that rejects values below `low` as a usage error."""
+    def check(ctx, param, value):
+        if value < low:
+            raise click.BadParameter("must be at least %d" % low)
+        return value
+    return check
+
+
+_NONNEGATIVE, _POSITIVE = _at_least(0), _at_least(1)
+
+
+def _show_help(ctx, param, value):
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color)
+        ctx.exit()
+
+
+# click builds its default --help option per command with gettext, whose
+# language lookup imports locale; one prebuilt option skips that
+_HELP = click.Option(["--help"], is_flag=True, expose_value=False,
+                     is_eager=True, callback=_show_help,
+                     help="Show this message and exit.")
+
+
+class _Command(click.Command):
+    def get_help_option(self, ctx):
+        return _HELP
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def main():
     """Beta-expansions, survivor sets and the Farey bifurcation atlas."""
 
@@ -46,7 +80,7 @@ def main():
 @click.option("--x", required=True, help="point in [0,1] (decimal)")
 @click.option("--beta", "beta_s", required=True,
               help='base: decimal or "@PRE(PER)"')
-@click.option("--n", default=24, show_default=True)
+@click.option("--n", default=24, show_default=True, callback=_POSITIVE)
 @click.option("--mode", type=click.Choice(["greedy", "quasi"]),
               default="greedy", show_default=True)
 @domain_errors
@@ -73,7 +107,7 @@ def expand(x, beta_s, n, mode):
 
 @main.command()
 @click.option("--beta", "beta_s", required=True)
-@click.option("--n", default=48, show_default=True)
+@click.option("--n", default=48, show_default=True, callback=_POSITIVE)
 @domain_errors
 def alpha(beta_s, n):
     """Expansion of 1 in base beta; reports a closed form if one is found."""
@@ -88,7 +122,7 @@ def alpha(beta_s, n):
 
 @main.command("solve-beta")
 @click.option("--alpha", "alpha_s", required=True, help='"PRE(PER)"')
-@click.option("--digits", default=12, show_default=True)
+@click.option("--digits", default=12, show_default=True, callback=_NONNEGATIVE)
 @domain_errors
 def solve_beta(alpha_s, digits):
     """Base whose expansion of 1 equals the given sequence."""
@@ -142,7 +176,7 @@ def factorize(word):
 @click.option("--max-len", type=int, required=True)
 @click.option("--kind", type=click.Choice(["farey", "all"]), default="all",
               show_default=True)
-@click.option("--digits", default=12, show_default=True)
+@click.option("--digits", default=12, show_default=True, callback=_POSITIVE)
 @click.option("--nesting/--no-nesting", default=True, show_default=True)
 @domain_errors
 def atlas(max_len, kind, digits, nesting):
@@ -163,7 +197,7 @@ def atlas(max_len, kind, digits, nesting):
 @click.option("--t-min", type=float, default=0.0, show_default=True)
 @click.option("--t-max", type=float, required=True)
 @click.option("--samples", type=int, required=True)
-@click.option("--digits", default=12, show_default=True)
+@click.option("--digits", default=12, show_default=True, callback=_NONNEGATIVE)
 @click.option("--horizon", default=N.DEFAULT_HORIZON, show_default=True)
 @domain_errors
 def staircase(beta_s, t_min, t_max, samples, digits, horizon):
@@ -191,7 +225,7 @@ def staircase(beta_s, t_min, t_max, samples, digits, horizon):
 @main.command()
 @click.option("--beta", "beta_s", required=True)
 @click.option("--atlas-depth", type=int, default=10, show_default=True)
-@click.option("--digits", default=12, show_default=True)
+@click.option("--digits", default=12, show_default=True, callback=_NONNEGATIVE)
 @domain_errors
 def tau(beta_s, atlas_depth, digits):
     """Critical hole size report (regime plus certified bracket), as JSON."""

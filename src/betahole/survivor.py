@@ -5,14 +5,14 @@ A LexSubshift is the set of one-sided 0/1 sequences x with
     lower <= sigma^n(x) < upper      for all n >= 0
 
 (with the strictness of each bound configurable).  It compiles to a DFA
-whose states track, for each bound, every position at which the word read
-so far is still sitting exactly on a prefix of that bound; leaving the
-prefix on the wrong side kills the path.
+whose state holds, for each bound, an int with one bit for every prefix
+length on which the word read so far still ends; leaving a prefix on the
+wrong side kills the path.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 
 from .errors import CertificateFailed, StateCapExceeded, TooLarge
 from .sequences import EpSequence, lex_compare_ep
@@ -57,54 +57,55 @@ def reduce_upper(shift):
 
 class SubshiftAutomaton:
     """DFA over {0,1} whose length-n path count equals the number of
-    words passing every suffix-window check against the two bounds."""
+    words passing every suffix-window check against the two bounds.
+
+    A state is a pair of ints (lo, up): bit i is set when the word read
+    so far ends on the first i digits of that bound, with positions
+    folded into the bound's first `window` digits (shift-and; Baeza-Yates
+    and Gonnet 1992).  A step adds the empty match, cur = s | 1.  Digit 0
+    dies iff some match of lower continues with a 1, digit 1 dies iff
+    some match of upper continues with a 0.  The matches that continue
+    with digit d shift left by one, and bit `window` folds to bit
+    len(pre).  States are numbered in breadth-first order from (0, 0).
+    """
 
     def __init__(self, shift):
         self.shift = shift
-        L, U = shift.lower, shift.upper
 
-        def adv(pos, seq):
-            pos += 1
-            return len(seq.pre) if pos == seq.window else pos
+        def masks(seq):
+            # zeros and ones of the first window digits, all window bits,
+            # and the bit that position window folds to
+            full = (1 << seq.window) - 1
+            ones = int(seq.prefix(seq.window)[::-1], 2)
+            return ones ^ full, ones, full, 1 << len(seq.pre)
 
-        def step(state, d):
-            lo, up = state
-            new_lo = set()
-            for i in set(lo) | {0}:
-                b = L.digit(i)
-                if d < b:
-                    return None
-                if d == b:
-                    new_lo.add(adv(i, L))
-            new_up = set()
-            for i in set(up) | {0}:
-                b = U.digit(i)
-                if d > b:
-                    return None
-                if d == b:
-                    new_up.add(adv(i, U))
-            return frozenset(new_lo), frozenset(new_up)
+        z_lo, o_lo, full_lo, fold_lo = masks(shift.lower)
+        z_up, o_up, full_up, fold_up = masks(shift.upper)
+        index = {(0, 0): 0}
+        order = [(0, 0)]
 
-        start = (frozenset(), frozenset())
-        index = {start: 0}
-        order = [start]
+        def visit(lo, up):
+            # number of the state reached by the continuing matches lo, up
+            lo <<= 1
+            if lo > full_lo:
+                lo = lo & full_lo | fold_lo
+            up <<= 1
+            if up > full_up:
+                up = up & full_up | fold_up
+            if (lo, up) not in index:
+                if len(order) >= STATE_CAP:
+                    raise StateCapExceeded(
+                        "automaton exceeded %d states" % STATE_CAP)
+                index[lo, up] = len(order)
+                order.append((lo, up))
+            return index[lo, up]
+
         trans = []
-        qi = 0
-        while qi < len(order):
-            st = order[qi]
-            qi += 1
-            row = [None, None]
-            for d in "01":
-                nxt = step(st, d)
-                if nxt is not None:
-                    if nxt not in index:
-                        if len(index) >= STATE_CAP:
-                            raise StateCapExceeded(
-                                "automaton exceeded %d states" % STATE_CAP)
-                        index[nxt] = len(index)
-                        order.append(nxt)
-                    row[int(d)] = index[nxt]
-            trans.append(tuple(row))
+        for lo, up in order:
+            lo |= 1
+            up |= 1
+            trans.append((None if lo & o_lo else visit(lo & z_lo, up & z_up),
+                          None if up & z_up else visit(lo & o_lo, up & o_up)))
         self.transitions = trans
         self.start = 0
 
@@ -134,21 +135,26 @@ class SubshiftAutomaton:
         a cycle (two or more states, or a self-loop) or has an edge into
         a live state.
         """
-        succ = [[t for t in row if t is not None] for row in self.transitions]
-        index, low = {self.start: 0}, {self.start: 0}
-        stack, on_stack = [self.start], {self.start}
-        work = [(self.start, iter(succ[self.start]))]
-        live, cycles = set(), []
+        trans, start = self.transitions, self.start
+        # index 0 marks a state not yet visited
+        index, low = [0] * len(trans), [0] * len(trans)
+        on_stack, live = bytearray(len(trans)), bytearray(len(trans))
+        index[start] = low[start] = count = 1
+        on_stack[start] = 1
+        stack, work, cycles = [start], [(start, iter(trans[start]))], []
         while work:
             v, it = work[-1]
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                if w is None:
+                    continue
+                if not index[w]:
+                    count += 1
+                    index[w] = low[w] = count
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
+                    on_stack[w] = 1
+                    work.append((w, iter(trans[w])))
                     break
-                if w in on_stack:
+                if on_stack[w]:
                     low[v] = min(low[v], index[w])
             else:
                 # every successor of v is explored: v is finished
@@ -160,13 +166,15 @@ class SubshiftAutomaton:
                     comp = [stack.pop()]
                     while comp[-1] != v:
                         comp.append(stack.pop())
-                    on_stack.difference_update(comp)
-                    if len(comp) > 1 or v in succ[v]:
+                    for s in comp:
+                        on_stack[s] = 0
+                    if len(comp) > 1 or v in trans[v]:
                         cycles.append(comp)
-                        live.update(comp)
-                    elif any(t in live for t in succ[v]):
-                        live.add(v)
-        return live, cycles
+                        for s in comp:
+                            live[s] = 1
+                    elif any(live[t] for t in trans[v] if t is not None):
+                        live[v] = 1
+        return set(compress(range(len(trans)), live)), cycles
 
 
 def compile(shift):

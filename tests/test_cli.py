@@ -179,3 +179,35 @@ def test_isolated_zset_classify():
     r = run("classify", "--t", "(01)", "--beta", "@(110)")
     doc = json.loads(r.output)
     assert doc["in_E_plus"] is True and doc["in_E_zero"] is False
+
+
+def test_out_of_range_digits_and_n_are_usage_errors():
+    # each once printed a wrong or empty answer, or died half-way with
+    # exit 1; now click rejects it before anything reaches stdout
+    cases = [("tau", "--beta", "1.5", "--digits", "-1"),
+             ("staircase", "--beta", "1.5", "--t-max", "0.3",
+              "--samples", "4", "--digits", "-2"),
+             ("solve-beta", "--alpha", "(10)", "--digits", "-1"),
+             ("atlas", "--max-len", "3", "--digits", "-1"),
+             ("atlas", "--max-len", "3", "--digits", "0"),
+             ("expand", "--x", "0.5", "--beta", "2", "--n", "-3"),
+             ("alpha", "--beta", "2", "--n", "0")]
+    for args in cases:
+        r = run(*args)
+        assert r.exit_code == 2, args
+        assert r.stdout == "", args
+        assert "Invalid value for '--%s'" % args[-2].lstrip("-") \
+            in r.stderr, args
+
+
+def test_smallest_digits_and_n_are_accepted():
+    doc = json.loads(run("tau", "--beta", "2", "--digits", "0").output)
+    assert (doc["tau_lower"], doc["tau_upper"]) == ("0", "1")
+    doc = json.loads(run("atlas", "--max-len", "3", "--kind", "farey",
+                         "--digits", "1").output)
+    assert doc["intervals"][0]["beta_L"] == "1.47"
+    assert run("solve-beta", "--alpha", "(10)",
+               "--digits", "0").output.strip() == "2"
+    assert run("expand", "--x", "0.5", "--beta", "2",
+               "--n", "1").output.strip() == "1"
+    assert run("alpha", "--beta", "2", "--n", "1").exit_code == 0

@@ -31,6 +31,16 @@ def test_cli_import_does_not_load_mpmath():
         "import sys, betahole.cli; print('mpmath' in sys.modules)") == "False"
 
 
+def test_cli_request_does_not_load_locale():
+    # click's default --help is built with gettext, whose language lookup
+    # imports locale and probes the disk for message catalogs
+    assert run_python(
+        "import io, sys, contextlib, betahole.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['tau', '--beta', '1.5'], standalone_mode=False)\n"
+        "print('locale' in sys.modules)") == "False"
+
+
 def test_import_leaves_mpmath_precision_alone():
     assert run_python(
         "import mpmath, betahole.cli; print(mpmath.mp.prec, mpmath.iv.prec)"

@@ -305,3 +305,109 @@ def test_perron_certificate_of_bare_cycle_is_exactly_one():
     assert comps
     for comp in comps:
         assert S._scc_spectral_radius(auto, comp) == (1, 1)
+
+
+def reference_automaton(shift):
+    """The automaton built with frozensets of match positions: a state
+    holds, for each bound, every position i < window at which the word
+    read so far sits on the bound's first i digits, folded back to
+    len(pre) at window.  Returns the transitions in breadth-first order."""
+    L, U = shift.lower, shift.upper
+
+    def adv(pos, seq):
+        pos += 1
+        return len(seq.pre) if pos == seq.window else pos
+
+    def step(state, d):
+        lo, up = state
+        new_lo = set()
+        for i in set(lo) | {0}:
+            b = L.digit(i)
+            if d < b:
+                return None
+            if d == b:
+                new_lo.add(adv(i, L))
+        new_up = set()
+        for i in set(up) | {0}:
+            b = U.digit(i)
+            if d > b:
+                return None
+            if d == b:
+                new_up.add(adv(i, U))
+        return frozenset(new_lo), frozenset(new_up)
+
+    start = (frozenset(), frozenset())
+    index, order, trans = {start: 0}, [start], []
+    for st in order:
+        row = [None, None]
+        for d in "01":
+            nxt = step(st, d)
+            if nxt is not None:
+                if nxt not in index:
+                    index[nxt] = len(index)
+                    order.append(nxt)
+                row[int(d)] = index[nxt]
+        trans.append(tuple(row))
+    return trans
+
+
+def reference_recurrence(trans):
+    """Tarjan's pass from state 0 over dicts and sets: (live, cycles)."""
+    succ = [[t for t in row if t is not None] for row in trans]
+    index, low = {0: 0}, {0: 0}
+    stack, on_stack, work = [0], {0}, [(0, iter(succ[0]))]
+    live, cycles = set(), []
+    while work:
+        v, it = work[-1]
+        for w in it:
+            if w not in index:
+                index[w] = low[w] = len(index)
+                stack.append(w)
+                on_stack.add(w)
+                work.append((w, iter(succ[w])))
+                break
+            if w in on_stack:
+                low[v] = min(low[v], index[w])
+        else:
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                comp = [stack.pop()]
+                while comp[-1] != v:
+                    comp.append(stack.pop())
+                on_stack.difference_update(comp)
+                if len(comp) > 1 or v in succ[v]:
+                    cycles.append(comp)
+                    live.update(comp)
+                elif any(t in live for t in succ[v]):
+                    live.add(v)
+    return live, cycles
+
+
+def test_bitmask_automaton_matches_frozenset_reference(monkeypatch):
+    """The bit-parallel kernel builds the same transitions, in the same
+    state numbering, as the frozenset construction, and recurrence()
+    finds the same live states and the same components in the same order:
+    on seeded random shifts with every pair of strictness flags, and on
+    every shift that 32-sample dimension sweeps compile."""
+    rng = random.Random(1992)
+    shifts = []
+    for k in range(800):
+        sh = random_subshift(rng)
+        shifts.append(LexSubshift(sh.lower, sh.upper, k % 2 == 1, k % 4 > 1))
+    build = S.compile
+    monkeypatch.setattr(S, "compile",
+                        lambda shift: shifts.append(shift) or build(shift))
+    for text in ("1.15", "1.457", "1.857", "@(110)"):
+        beta = BetaSpec.parse(text)
+        t_max = 1 - 1 / beta.value.a
+        for i in range(32):
+            dimension(beta, PointSpec(value=t_max * Fraction(i, 31)))
+    assert len(shifts) > 900
+    for sh in shifts:
+        auto = build(sh)
+        trans = reference_automaton(sh)
+        assert auto.transitions == trans, sh
+        assert auto.recurrence() == reference_recurrence(trans), sh
