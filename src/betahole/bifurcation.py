@@ -81,17 +81,23 @@ def basic_interval(a):
     alpha_R = EpSequence(W.plus(a), s)
     if not is_in_Q(alpha_R):
         raise NotInQ("right endpoint sequence fails the shift condition")
-    kind = "farey" if W.is_farey(W.reflect(a)) and \
-        W.reflect(a) not in ("0", "1") else "basic"
+    kind = "farey" if W.is_farey(W.reflect(a)) else "basic"
     return IntervalRecord(a, s, alpha_L, alpha_R, kind)
+
+
+def require_farey_generator(a):
+    """Raise NotFareyReflection unless reflect(a) is a non-degenerate
+    Farey word."""
+    r = W.reflect(a)
+    if r in ("0", "1") or not W.is_farey(r):
+        raise NotFareyReflection(
+            "reflect(%r) = %r is not a non-degenerate Farey word" % (a, r))
 
 
 def farey_interval(a):
     """basic_interval(a), insisting that reflect(a) is a non-degenerate
     Farey word; for these the Lyndon rotation is the reversal of a."""
-    r = W.reflect(a)
-    if r in ("0", "1") or not W.is_farey(r):
-        raise NotFareyReflection("reflect(%r) = %r is not Farey" % (a, r))
+    require_farey_generator(a)
     rec = basic_interval(a)
     if rec.lyndon != a[::-1]:
         raise CertificateFailed(
@@ -208,30 +214,18 @@ def phi(beta, horizon=N.DEFAULT_HORIZON):
 
 def generators(max_len):
     """All interval generators (maximal rotations of aperiodic words using
-    both digits) with length between 2 and max_len."""
-    out = []
-    for m in range(2, max_len + 1):
-        seen = set()
-        for i in range(1, 2 ** m - 1):
-            w = format(i, "0%db" % m)
-            if not W.is_aperiodic(w):
-                continue
-            a = W.max_rotation(w)
-            if a not in seen:
-                seen.add(a)
-                out.append(a)
-    return out
+    both digits) with length between 2 and max_len: the reflections of the
+    Lyndon words of length >= 2."""
+    return [W.reflect(w) for w in W.lyndon_words(max_len) if len(w) > 1]
 
 
 def atlas(max_len, kind="all"):
     """All basic (or only Farey) interval records with generator length
-    up to max_len, sorted by left endpoint."""
-    recs = []
-    for a in generators(max_len):
-        rec = basic_interval(a)
-        if kind == "farey" and rec.kind != "farey":
-            continue
-        recs.append(rec)
+    up to max_len, sorted by left endpoint.  The Farey generators are the
+    reflections of the non-degenerate Farey words."""
+    gens = ([W.reflect(w) for w in W.farey_words(max_len)]
+            if kind == "farey" else generators(max_len))
+    recs = [basic_interval(a) for a in gens]
     recs.sort(key=lambda r: r.alpha_L.prefix(2 * max_len + 4))
     return recs
 

@@ -8,6 +8,7 @@ byte-identical.
 
 import json
 import sys
+from fractions import Fraction
 from functools import wraps
 
 import click
@@ -127,7 +128,8 @@ def alpha(beta_s, n):
 def solve_beta(alpha_s, digits):
     """Base whose expansion of 1 equals the given sequence."""
     b = N.beta_from_alpha(EpSequence.parse(alpha_s))
-    click.echo(_fmt(float(b.mid()), digits))
+    click.echo(N.fixed(b.mid() + Fraction(1, 2 * 10 ** digits), digits,
+                       False))
 
 
 @main.command()

@@ -6,8 +6,7 @@ family, left-endpoint emptiness, and the TauReport regimes.
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import (CertificateFailed, FinitenessCertificateFailed,
-                     NotFareyReflection)
+from .errors import CertificateFailed, FinitenessCertificateFailed
 from .sequences import EpSequence, lex_compare_ep
 from .survivor import LexSubshift, compile
 from . import bifurcation as B
@@ -15,13 +14,6 @@ from . import sequences as S
 from . import words as W
 from . import numeric as N
 from .numeric import fixed, float_down, float_up
-
-
-def _require_farey_generator(a):
-    r = W.reflect(a)
-    if r in ("0", "1") or not W.is_farey(r):
-        raise NotFareyReflection(
-            "reflect(%r) = %r is not a non-degenerate Farey word" % (a, r))
 
 
 def _cycle_structure(auto):
@@ -82,7 +74,7 @@ def z_set(a):
     certificate (recurrent classes are bare cycles on the rotation orbit
     of a) is checked, not assumed.
     """
-    _require_farey_generator(a)
+    B.require_farey_generator(a)
     s, _ = W.lyndon_rotation(a)
     shift = LexSubshift(EpSequence(s, "0"), EpSequence("", a),
                         strict_lower=False, strict_upper=False)
@@ -118,7 +110,7 @@ def t_n_family(a, n):
     """The approximant t_N = (0 a_2..a_m (a_1..a_m)^N a_1..a_j)^infinity,
     with j the Lyndon-rotation offset of a; checked symbolically to sit
     weakly below all of its shifts and strictly below (a)^infinity."""
-    _require_farey_generator(a)
+    B.require_farey_generator(a)
     if n < 1:
         raise ValueError("N must be >= 1")
     _, j = W.lyndon_rotation(a)

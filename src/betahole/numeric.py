@@ -187,8 +187,9 @@ def float_up(q):
 
 
 def fixed(x, digits, up):
-    """The float x in fixed notation with `digits` decimals, rounded down
-    or (up=True) up from its exact binary value, in integer arithmetic."""
+    """The float or Fraction x in fixed notation with `digits` decimals,
+    rounded down or (up=True) up from its exact value, in integer
+    arithmetic."""
     q = Fraction(x) * 10 ** digits
     whole, frac = divmod(abs(math.ceil(q) if up else math.floor(q)),
                          10 ** digits)

@@ -59,13 +59,9 @@ class EpSequence:
         return EpSequence("", self.per[r:] + self.per[:r])
 
     def shifts(self):
-        """All distinct shifted sequences sigma^n, n >= 0 (finitely many)."""
-        seen = []
-        for n in range(len(self.pre) + len(self.per)):
-            s = self.shift(n)
-            if s not in seen:
-                seen.append(s)
-        return seen
+        """All distinct shifted sequences sigma^n, n >= 0: the first
+        `window` of them, which differ because the form is canonical."""
+        return [self.shift(n) for n in range(self.window)]
 
     def is_zero_tail(self):
         return self.per == "0"

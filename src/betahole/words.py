@@ -87,6 +87,19 @@ def is_lyndon(w):
     return True
 
 
+def lyndon_words(max_len):
+    """Every Lyndon word of length <= max_len in lexicographic order, by
+    Duval's step: repeat the word to length max_len, drop trailing 1s,
+    raise the last digit."""
+    out, w = [], "0" if max_len >= 1 else ""
+    while w:
+        out.append(w)
+        w = (w * max_len)[:max_len].rstrip("1")
+        if w:
+            w = w[:-1] + "1"
+    return out
+
+
 def rotations(w):
     return [w[i:] + w[:i] for i in range(len(w))]
 

@@ -64,7 +64,8 @@ def test_farey_interval():
     assert rec.kind == "farey"
     rec = B.farey_interval("110")
     assert rec.alpha_R == EpSequence(W.plus("110"), "011")
-    with pytest.raises(NotFareyReflection):
+    with pytest.raises(NotFareyReflection, match=r"^reflect\('1100'\) = "
+                       r"'0011' is not a non-degenerate Farey word$"):
         B.farey_interval("1100")
 
 
@@ -148,6 +149,43 @@ def test_nesting_raises_on_partial_overlap():
     second = B.IntervalRecord("y", "y", E("(101)"), E("(1110)"), "basic")
     with pytest.raises(CertificateFailed, match="laminarity"):
         B.nesting([first, second])
+
+
+def scan_and_filter_atlas(max_len, kind):
+    """Reference atlas: the maximal rotation of every aperiodic word of
+    each length, one basic interval each, non-Farey ones dropped for
+    kind "farey"."""
+    recs = []
+    for m in range(2, max_len + 1):
+        seen = set()
+        for i in range(1, 2 ** m - 1):
+            w = format(i, "0%db" % m)
+            if not W.is_aperiodic(w):
+                continue
+            a = W.max_rotation(w)
+            if a in seen:
+                continue
+            seen.add(a)
+            rec = B.basic_interval(a)
+            if kind == "all" or rec.kind == "farey":
+                recs.append(rec)
+    recs.sort(key=lambda r: r.alpha_L.prefix(2 * max_len + 4))
+    return recs
+
+
+def test_atlas_matches_scan_and_filter_up_to_12():
+    for kind in ("all", "farey"):
+        for max_len in range(2, 13):
+            assert B.atlas(max_len, kind) == \
+                scan_and_filter_atlas(max_len, kind), (max_len, kind)
+
+
+def test_farey_atlas_builds_only_farey_records(monkeypatch):
+    calls = []
+    basic_interval = B.basic_interval
+    monkeypatch.setattr(B, "basic_interval",
+                        lambda a: calls.append(a) or basic_interval(a))
+    assert len(B.atlas(10, "farey")) == len(calls) == 31
 
 
 def test_basic_intervals_nested_or_disjoint_up_to_8():

@@ -42,6 +42,9 @@ def test_solve_beta():
     r = run("solve-beta", "--alpha", "(10)")
     assert r.exit_code == 0
     assert r.output.strip() == "1.618033988750"
+    # true digits of the golden mean, from the exact 2^-100 root bracket
+    r = run("solve-beta", "--alpha", "(10)", "--digits", "30")
+    assert r.output == "1.618033988749894848204586834365\n"
 
 
 def test_alpha_command():
@@ -176,6 +179,10 @@ def test_isolated_zset_classify():
     doc = json.loads(r.output)
     assert doc["cardinality"] == 2
     assert doc["members"] == ["(01)", "(10)"]
+    r = run("zset", "--word", "1010")
+    assert r.exit_code == 1 and r.stdout == ""
+    assert r.stderr == ("error: reflect('1010') = '0101' is not a "
+                        "non-degenerate Farey word\n")
     r = run("classify", "--t", "(01)", "--beta", "@(110)")
     doc = json.loads(r.output)
     assert doc["in_E_plus"] is True and doc["in_E_zero"] is False

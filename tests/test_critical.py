@@ -45,7 +45,8 @@ def test_z_set_finite_for_generators_up_to_8():
 
 
 def test_z_set_rejects_non_farey():
-    with pytest.raises(NotFareyReflection):
+    with pytest.raises(NotFareyReflection, match=r"^reflect\('1100'\) = "
+                       r"'0011' is not a non-degenerate Farey word$"):
         C.z_set("1100")
 
 
@@ -124,6 +125,19 @@ def test_tau_locates_bases_within_root_bracket_of_an_endpoint():
         BetaSpec.parse("1.801937735804838252472204639014890102331"))
     assert rep.regime == "inside_farey_high"
     assert rep.witnesses["generator"] == "10"
+
+
+def test_tau_deep_atlas_certifies_t_star():
+    """1.57 lies in no Farey interval of generator length <= 10, but in
+    one of the depth-40 atlas, where tau = t* exactly."""
+    beta = BetaSpec.parse("1.57")
+    assert not C.tau_report(beta).certified
+    rep = C.tau_report(beta, atlas_depth=40)
+    assert rep.certified and rep.regime == "inside_farey_low"
+    t_star = project(C.t_star_sequence(rep.witnesses["generator"]),
+                     beta.value)
+    assert t_star.a == t_star.b    # exact at a rational base
+    assert Fraction(rep.tau_lower) <= t_star.a <= Fraction(rep.tau_upper)
 
 
 def test_tau_upper_never_exceeds_fixed_point():

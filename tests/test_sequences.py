@@ -1,5 +1,7 @@
 """Eventually periodic sequences: canonical form, order, admissibility."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -78,3 +80,20 @@ def test_shifts_are_finite_and_complete():
     assert s in shifts
     for n in range(20):
         assert s.shift(n) in shifts
+
+
+def words(lo, hi):
+    for n in range(lo, hi + 1):
+        for bits in product("01", repeat=n):
+            yield "".join(bits)
+
+
+def test_first_window_shifts_are_pairwise_distinct():
+    """shifts() keeps every one of the first `window` shifts: for a
+    canonical sequence no two of them coincide."""
+    for pre in words(0, 5):
+        for per in words(1, 6):
+            s = EpSequence(pre, per)
+            firsts = [s.shift(n) for n in range(s.window)]
+            assert len(set(firsts)) == s.window, (pre, per)
+            assert s.shifts() == firsts

@@ -63,6 +63,13 @@ def test_is_lyndon_matches_oracle_up_to_12():
             assert W.is_lyndon(w) == brute_lyndon(w), w
 
 
+def test_lyndon_words_match_is_lyndon_filter_up_to_14():
+    brute = sorted(w for n in range(1, 15) for w in all_words(n)
+                   if W.is_lyndon(w))
+    for n in range(0, 15):
+        assert W.lyndon_words(n) == [w for w in brute if len(w) <= n], n
+
+
 def test_rotation_extremes():
     assert W.lyndon_rotation("10") == ("01", 1)
     assert W.max_rotation("0011") == "1100"
