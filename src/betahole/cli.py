@@ -200,7 +200,8 @@ def atlas(max_len, kind, digits, nesting):
 @click.option("--t-max", type=float, required=True)
 @click.option("--samples", type=int, required=True)
 @click.option("--digits", default=12, show_default=True, callback=_NONNEGATIVE)
-@click.option("--horizon", default=N.DEFAULT_HORIZON, show_default=True)
+@click.option("--horizon", default=N.DEFAULT_HORIZON, show_default=True,
+              callback=_POSITIVE)
 @domain_errors
 def staircase(beta_s, t_min, t_max, samples, digits, horizon):
     """CSV sweep of entropy/dimension brackets over a grid of hole sizes;
@@ -226,7 +227,8 @@ def staircase(beta_s, t_min, t_max, samples, digits, horizon):
 
 @main.command()
 @click.option("--beta", "beta_s", required=True)
-@click.option("--atlas-depth", type=int, default=10, show_default=True)
+@click.option("--atlas-depth", default=10, show_default=True,
+              callback=_at_least(2))
 @click.option("--digits", default=12, show_default=True, callback=_NONNEGATIVE)
 @domain_errors
 def tau(beta_s, atlas_depth, digits):

@@ -4,7 +4,6 @@ family, left-endpoint emptiness, and the TauReport regimes.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import CertificateFailed, FinitenessCertificateFailed
 from .sequences import EpSequence, lex_compare_ep
@@ -127,11 +126,6 @@ def t_n_family(a, n):
     return t
 
 
-@lru_cache(maxsize=None)
-def _farey_atlas(depth):
-    return tuple(B.atlas(depth, kind="farey"))
-
-
 def t_star_sequence(a):
     """0 a_2..a_m (a_1..a_m)^infinity."""
     return EpSequence("0" + a[1:], a)
@@ -154,43 +148,49 @@ class TauReport:
     note: str = ""
 
 
-def _locate(beta, recs):
-    """Place beta against the Farey atlas `recs`, sorted by alpha_L.
+def _locate(beta, depth):
+    """Place beta against the Farey intervals whose generators have length
+    at most `depth`, by a walk down the Stern-Brocot tree of the generator
+    slopes m/q (generator reflect(c(q - m, q))), whose intervals are
+    disjoint and rise with m/q.
 
     Returns ("left", rec) if beta = gamma_L of rec, ("inside", rec) if
-    beta lies in (gamma_L, gamma_R] of rec, else ("gap", w): w >= the atlas
-    gap around beta, from the highest gamma_R bracket below (else 1) to the
-    lowest gamma_L bracket above (else 2).  One pass: the records before
-    the first gamma_L above beta all lie below it.
+    beta lies in (gamma_L, gamma_R] of rec, else ("gap", w): w >= the gap
+    around beta, from the gamma_R bracket of the last node below beta
+    (else 1) to the gamma_L bracket of the last node above it (else 2).
+    Once the next mediant is longer than `depth`, those two nodes are
+    neighbours in the Farey sequence of order `depth`.
     """
     left = right = None
-    for r in recs:
+    lm, lq, rm, rq = 0, 1, 1, 1
+    while lq + rq <= depth:
+        m, q = lm + rm, lq + rq
+        r = B.basic_interval(W.reflect(W.christoffel(q - m, q)))
         c = beta.compare(r.alpha_L)
         if c == 0:
             return "left", r
         if c < 0:
-            right = r
-            break
-        if beta.compare(r.alpha_R) <= 0:
+            right, rm, rq = r, m, q
+        elif beta.compare(r.alpha_R) <= 0:
             return "inside", r
-        if left is None or lex_compare_ep(r.alpha_R, left.alpha_R) > 0:
-            left = r
+        else:
+            left, lm, lq = r, m, q
     lo = left.beta_R.value.a if left else 1
     hi = right.beta_L.value.b if right else 2
     return "gap", hi - lo
 
 
 def tau_report(beta, atlas_depth=10):
-    """Locate beta against the Farey-interval atlas and report the best
-    known bracket for the critical hole size tau_beta."""
+    """Locate beta among the Farey intervals with generators of length
+    at most atlas_depth and report the best known bracket for the
+    critical hole size tau_beta."""
     if atlas_depth < 2:
         raise ValueError("atlas_depth must be >= 2")
     one_minus = 1 - 1 / beta.value
     if beta.compare(S.ONES) == 0:
         return TauReport(beta, "outside_closure", 0.5, 0.5,
                          {"note": "doubling map"}, atlas_depth, True)
-    recs = _farey_atlas(atlas_depth)
-    where, found = _locate(beta, recs)
+    where, found = _locate(beta, atlas_depth)
     if where == "left":
         a = found.generator
         return TauReport(

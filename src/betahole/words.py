@@ -6,6 +6,7 @@ exactly when the infinite sequence u000... comes before v000...
 """
 
 from functools import lru_cache
+from math import gcd
 
 from .errors import (
     DegenerateFarey,
@@ -151,53 +152,38 @@ def farey_level(n):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _farey_words_up_to(max_len):
-    """All non-degenerate Farey words of length <= max_len.
-
-    Walks the neighbour-pair tree of the level recursion, cutting branches
-    as soon as the concatenated word gets too long.  Returns a dict mapping
-    each word to its (left, right) factor pair.
-    """
-    found = {}
-
-    def descend(u, v):
-        w = u + v
-        if len(w) > max_len:
-            return
-        found[w] = (u, v)
-        descend(u, w)
-        descend(w, v)
-
-    descend("0", "1")
-    return found
+def christoffel(p, q):
+    """The lower Christoffel word of slope p/q: letter i is
+    floor((i+1)p/q) - floor(ip/q), so it has length q and p ones."""
+    return "".join(str((i + 1) * p // q - i * p // q) for i in range(q))
 
 
 def farey_words(max_len):
-    """Sorted list of all non-degenerate Farey words of length <= max_len."""
-    return sorted(_farey_words_up_to(max_len))
+    """Sorted list of all non-degenerate Farey words of length <= max_len:
+    the Christoffel words of the reduced slopes p/q, 0 < p < q <= max_len."""
+    return sorted(christoffel(p, q) for q in range(2, max_len + 1)
+                  for p in range(1, q) if gcd(p, q) == 1)
 
 
 def is_farey(w):
     """True iff w occurs in some Farey level (the degenerate '0' and '1'
-    included).  Words at level n are never shorter than n + 1, so looking
-    at lengths up to |w| decides the question."""
+    included), i.e. w is the Christoffel word of its own reduced slope."""
     check_word(w)
-    if w in ("0", "1"):
-        return True
-    return w in _farey_words_up_to(len(w))
+    p, q = w.count("1"), len(w)
+    return gcd(p, q) == 1 and w == christoffel(p, q)
 
 
 def standard_factorization(w):
     """The unique split of a non-degenerate Farey word into the two Farey
-    words whose concatenation produced it in the level recursion."""
+    words whose concatenation produced it in the level recursion; for
+    c(p, q) the first factor has length p^-1 mod q."""
     check_word(w)
     if w in ("0", "1"):
         raise DegenerateFarey("degenerate Farey word has no factorization: %r" % w)
-    table = _farey_words_up_to(len(w))
-    if w not in table:
+    if not is_farey(w):
         raise NotFarey("not a Farey word: %r" % w)
-    return table[w]
+    k = pow(w.count("1"), -1, len(w))
+    return w[:k], w[k:]
 
 
 def check_palindrome_property(w):

@@ -198,7 +198,10 @@ def test_out_of_range_digits_and_n_are_usage_errors():
              ("atlas", "--max-len", "3", "--digits", "-1"),
              ("atlas", "--max-len", "3", "--digits", "0"),
              ("expand", "--x", "0.5", "--beta", "2", "--n", "-3"),
-             ("alpha", "--beta", "2", "--n", "0")]
+             ("alpha", "--beta", "2", "--n", "0"),
+             ("tau", "--beta", "1.5", "--atlas-depth", "1"),
+             ("staircase", "--beta", "1.5", "--t-max", "0.3",
+              "--samples", "4", "--horizon", "-2")]
     for args in cases:
         r = run(*args)
         assert r.exit_code == 2, args
@@ -218,3 +221,8 @@ def test_smallest_digits_and_n_are_accepted():
     assert run("expand", "--x", "0.5", "--beta", "2",
                "--n", "1").output.strip() == "1"
     assert run("alpha", "--beta", "2", "--n", "1").exit_code == 0
+    doc = json.loads(run("tau", "--beta", "1.5", "--atlas-depth", "2").output)
+    assert doc["atlas_depth"] == 2
+    r = run("staircase", "--beta", "1.5", "--t-max", "0.3", "--samples", "2",
+            "--horizon", "1")
+    assert r.exit_code == 0 and len(r.output.splitlines()) == 3

@@ -14,6 +14,26 @@ from betahole import words as W
 E = EpSequence.parse
 
 
+def linear_locate(beta, recs):
+    """Reference placement for _locate: one linear pass over a Farey
+    atlas sorted by alpha_L."""
+    left = right = None
+    for r in recs:
+        c = beta.compare(r.alpha_L)
+        if c == 0:
+            return "left", r
+        if c < 0:
+            right = r
+            break
+        if beta.compare(r.alpha_R) <= 0:
+            return "inside", r
+        if left is None or lex_compare_ep(r.alpha_R, left.alpha_R) > 0:
+            left = r
+    lo = left.beta_R.value.a if left else 1
+    hi = right.beta_L.value.b if right else 2
+    return "gap", hi - lo
+
+
 def farey_generators(max_len):
     return [W.reflect(w) for w in W.farey_words(max_len)
             if w not in ("0", "1")]
@@ -173,7 +193,7 @@ def test_outside_closure_gap_matches_all_records_formula():
         beta = BetaSpec.parse(b)
         left, right = Fraction(1), Fraction(2)
         inner_left, inner_right = left, right
-        for r in C._farey_atlas(10):
+        for r in B.atlas(10, kind="farey"):
             if beta.compare(r.alpha_R) >= 0:
                 left = max(left, r.beta_R.value.a)
                 inner_left = max(inner_left, r.beta_R.value.b)
@@ -193,3 +213,35 @@ def test_outside_closure_gap_solves_at_most_two_roots():
         beta_from_alpha.cache_clear()
         assert C.tau_report(beta).regime == "outside_closure"
         assert beta_from_alpha.cache_info().misses <= 2, b
+
+
+def test_descent_matches_linear_atlas_scan():
+    """Regime, record and exact gap of the descent equal a linear scan
+    of B.atlas(depth, "farey") over the bases 1.001 + 0.005k, k < 200,
+    and over both endpoints of every Farey interval of depth 5."""
+    bases = [BetaSpec.parse("1.%03d" % (1 + 5 * k)) for k in range(200)]
+    ends = [b for r in B.atlas(5, kind="farey") for b in (r.beta_L, r.beta_R)]
+    for depth, step in ((2, 1), (5, 1), (10, 1), (20, 4)):
+        recs = B.atlas(depth, kind="farey")
+        for beta in bases[::step] + ends:
+            assert C._locate(beta, depth) == linear_locate(beta, recs), \
+                (beta.value, depth)
+
+
+def test_tau_report_builds_at_most_depth_records(monkeypatch):
+    calls = []
+    basic_interval = B.basic_interval
+
+    def counting(a):
+        calls.append(a)
+        return basic_interval(a)
+
+    def no_atlas(*args, **kwargs):
+        raise AssertionError("tau_report built an atlas")
+
+    monkeypatch.setattr(B, "basic_interval", counting)
+    monkeypatch.setattr(B, "atlas", no_atlas)
+    for b, depth in (("1.57", 40), ("1.05", 10), ("1.999", 12), ("1.7", 10)):
+        del calls[:]
+        C.tau_report(BetaSpec.parse(b), atlas_depth=depth)
+        assert 0 < len(calls) <= depth, (b, depth, len(calls))

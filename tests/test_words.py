@@ -1,5 +1,6 @@
 """Word combinatorics: order, rotations, Lyndon tests, Farey families."""
 
+import sys
 from itertools import product
 
 import pytest
@@ -15,6 +16,20 @@ words_st = st.text(alphabet="01", min_size=1, max_size=14)
 def all_words(n):
     for bits in product("01", repeat=n):
         yield "".join(bits)
+
+
+def farey_pairs(max_len):
+    """Each non-degenerate Farey word of length <= max_len with its
+    (left, right) factors, by the neighbour recursion on an explicit
+    stack."""
+    out, stack = {}, [("0", "1")]
+    while stack:
+        u, v = stack.pop()
+        w = u + v
+        if len(w) <= max_len:
+            out[w] = (u, v)
+            stack += [(u, w), (w, v)]
+    return out
 
 
 def test_lex_compare_basics():
@@ -107,14 +122,40 @@ def test_farey_level_ordered_and_nested():
 
 def test_is_farey_against_levels():
     in_levels = set(W.farey_level(7))
-    for n in range(1, 9):
+    farey = set(farey_pairs(12)) | {"0", "1"}
+    for n in range(1, 13):
         for w in all_words(n):
+            assert W.is_farey(w) == (w in farey), w
             if w in in_levels:
                 assert W.is_farey(w), w
     # every level-7 word of length <= 8 must be recognized; non-members
     # of matching length must be rejected
     for w in ["0011", "0100", "1101", "010011"]:
         assert not W.is_farey(w)
+
+
+def test_christoffel_words_match_the_recursion_up_to_20():
+    ref = farey_pairs(20)
+    for n in range(1, 21):
+        assert W.farey_words(n) == sorted(w for w in ref if len(w) <= n), n
+    for w, pair in ref.items():
+        assert W.standard_factorization(w) == pair, w
+
+
+def test_long_farey_words_need_no_recursion_depth():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        words = W.farey_words(150)
+        w = W.christoffel(617, 2000)
+        farey = W.is_farey(w)
+        u, v = W.standard_factorization(w)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(words) == len(set(words)) and max(map(len, words)) == 150
+    assert farey and u + v == w
+    assert (len(u), len(v)) == (953, 1047)
+    assert W.is_farey(u) and W.is_farey(v)
 
 
 def test_standard_factorization():
