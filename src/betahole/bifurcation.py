@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import (CertificateFailed, NotFarey, NotFareyReflection,
                      NotInQ, NotLyndon, NotMaximalRotation)
-from .sequences import EpSequence, lex_compare_ep, is_in_Q
+from .sequences import EpSequence, extreme_shifts, lex_compare_ep, is_in_Q
 from .numeric import BetaSpec, Interval
 from . import words as W
 from . import numeric as N
@@ -24,12 +24,8 @@ def in_E_plus(t, alpha):
     t itself (non-strict) and alpha (strict)."""
     if not is_in_Q(alpha):
         raise NotInQ("upper bound must be an expansion of 1")
-    for s in t.shifts():
-        if lex_compare_ep(s, t) < 0:
-            return False
-        if lex_compare_ep(s, alpha) >= 0:
-            return False
-    return True
+    least, greatest = extreme_shifts(t)
+    return least == t and lex_compare_ep(greatest, alpha) < 0
 
 
 def in_E_zero(t, alpha):

@@ -38,11 +38,14 @@ def _fmt(x, digits):
     return ("%%.%df" % digits) % x
 
 
-def _at_least(low):
-    """Option callback that rejects values below `low` as a usage error."""
+def _at_least(low, high=None):
+    """Option callback that rejects values below `low` (or above `high`)
+    as a usage error; an unset option (None) passes."""
     def check(ctx, param, value):
-        if value < low:
+        if value is not None and value < low:
             raise click.BadParameter("must be at least %d" % low)
+        if value is not None and high is not None and value > high:
+            raise click.BadParameter("must be at most %d" % high)
         return value
     return check
 
@@ -152,7 +155,7 @@ def admissible(x_s, alpha_s, beta_s):
 
 
 @main.command()
-@click.option("--level", type=int, default=None)
+@click.option("--level", type=int, callback=_at_least(0, W.MAX_FAREY_LEVEL))
 @click.option("--check", default=None, help="word to test for membership")
 @domain_errors
 def farey(level, check):

@@ -6,7 +6,7 @@ family, left-endpoint emptiness, and the TauReport regimes.
 from dataclasses import dataclass, field
 
 from .errors import CertificateFailed, FinitenessCertificateFailed
-from .sequences import EpSequence, lex_compare_ep
+from .sequences import EpSequence, extreme_shifts, lex_compare_ep
 from .survivor import LexSubshift, compile
 from . import bifurcation as B
 from . import sequences as S
@@ -95,14 +95,10 @@ def verify_empty_at_left_endpoint(a):
 
     The hole's lower bound is then a_m...a_1 0^infinity, so candidates are
     exactly the (finite) Z-set; each member is certified to have a shift
-    equal to (a)^infinity, which the strict upper bound excludes.
+    equal to (a)^infinity (its period is a rotation of a), which the strict
+    upper bound excludes.
     """
-    members = z_set(a)
-    top = EpSequence("", a)
-    for x in members:
-        if not any(lex_compare_ep(s, top) == 0 for s in x.shifts()):
-            return False
-    return True
+    return all(len(x.per) == len(a) and a in x.per * 2 for x in z_set(a))
 
 
 def t_n_family(a, n):
@@ -115,14 +111,13 @@ def t_n_family(a, n):
     _, j = W.lyndon_rotation(a)
     per = "0" + a[1:] + a * n + a[:j]
     t = EpSequence("", per)
-    top = EpSequence("", a)
-    for s in t.shifts():
-        if lex_compare_ep(t, s) > 0:
-            raise CertificateFailed(
-                "t_N certificate failed: shift %s lies below t_N" % s)
-        if lex_compare_ep(s, top) >= 0:
-            raise CertificateFailed(
-                "t_N certificate failed: shift %s reaches (%s)^inf" % (s, a))
+    least, greatest = extreme_shifts(t)
+    if lex_compare_ep(least, t) < 0:
+        raise CertificateFailed(
+            "t_N certificate failed: shift %s lies below t_N" % least)
+    if lex_compare_ep(greatest, EpSequence("", a)) >= 0:
+        raise CertificateFailed("t_N certificate failed: shift %s reaches "
+                                "(%s)^inf" % (greatest, a))
     return t
 
 

@@ -103,17 +103,25 @@ def lex_compare_ep(u, v):
     return 0
 
 
+def extreme_shifts(x):
+    """The least and the greatest shift sigma^n x, n >= 0. Any two shifts
+    have preperiods <= len(pre) and periods that are rotations of per, so
+    lex_compare_ep orders them by their first 2 * window digits."""
+    w = x.window
+    p = x.prefix(3 * w)
+    ranked = sorted(range(w), key=lambda n: p[n:n + 2 * w])
+    return x.shift(ranked[0]), x.shift(ranked[-1])
+
+
 def is_in_Q(a):
     """True iff a is the quasi-greedy expansion of 1 for some base in (1,2]:
     it does not end in zeros and dominates all of its shifts."""
-    if a.is_zero_tail():
-        return False
-    return all(lex_compare_ep(s, a) <= 0 for s in a.shifts())
+    return not a.is_zero_tail() and extreme_shifts(a)[1] == a
 
 
 def is_admissible(x, alpha):
     """Parry's criterion: every shift of x lies strictly below alpha."""
-    return all(lex_compare_ep(s, alpha) < 0 for s in x.shifts())
+    return lex_compare_ep(extreme_shifts(x)[1], alpha) < 0
 
 
 ZERO = EpSequence("", "0")

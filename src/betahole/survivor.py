@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import compress, product
 
 from .errors import CertificateFailed, StateCapExceeded, TooLarge
-from .sequences import EpSequence, lex_compare_ep
+from .sequences import EpSequence, extreme_shifts, lex_compare_ep
 from . import numeric as N
 from .numeric import Interval, float_down, float_up
 
@@ -304,14 +304,11 @@ def entropy(shift):
 
 def membership(x, shift):
     """Exact symbolic test that every shift of x satisfies both bounds."""
-    for s in x.shifts():
-        c = lex_compare_ep(s, shift.lower)
-        if c < 0 or (shift.strict_lower and c == 0):
-            return False
-        c = lex_compare_ep(s, shift.upper)
-        if c > 0 or (shift.strict_upper and c == 0):
-            return False
-    return True
+    least, greatest = extreme_shifts(x)
+    lo = lex_compare_ep(least, shift.lower)
+    up = lex_compare_ep(greatest, shift.upper)
+    return (lo > 0 if shift.strict_lower else lo >= 0) and \
+        (up < 0 if shift.strict_upper else up <= 0)
 
 
 class PointSpec:

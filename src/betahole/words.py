@@ -20,7 +20,7 @@ MAX_FAREY_LEVEL = 20
 
 
 def check_word(w):
-    if not w or any(c not in "01" for c in w):
+    if not (isinstance(w, str) and w and not w.strip("01")):
         raise ValueError("word must be a nonempty string over {0,1}: %r" % (w,))
     return w
 

@@ -201,7 +201,9 @@ def test_out_of_range_digits_and_n_are_usage_errors():
              ("alpha", "--beta", "2", "--n", "0"),
              ("tau", "--beta", "1.5", "--atlas-depth", "1"),
              ("staircase", "--beta", "1.5", "--t-max", "0.3",
-              "--samples", "4", "--horizon", "-2")]
+              "--samples", "4", "--horizon", "-2"),
+             ("farey", "--level", "-1"),
+             ("farey", "--level", "21")]
     for args in cases:
         r = run(*args)
         assert r.exit_code == 2, args

@@ -245,3 +245,18 @@ def test_tau_report_builds_at_most_depth_records(monkeypatch):
         del calls[:]
         C.tau_report(BetaSpec.parse(b), atlas_depth=depth)
         assert 0 < len(calls) <= depth, (b, depth, len(calls))
+
+
+def test_deep_descent_validates_few_words(monkeypatch):
+    """A depth-200 walk down the 1 0^k chain once rebuilt every shift of
+    every endpoint as a checked EpSequence: 63,683 check_word calls."""
+    calls = []
+    check_word = W.check_word
+
+    def counting(w):
+        calls.append(w)
+        return check_word(w)
+
+    monkeypatch.setattr(W, "check_word", counting)
+    C.tau_report(BetaSpec.parse("1.001"), 200)
+    assert len(calls) < 10000

@@ -94,6 +94,21 @@ def test_no_decimal_in_package():
     assert found == []
 
 
+def test_only_sequences_enumerates_shifts():
+    # "every shift against a bound" is decided by extreme_shifts, so the
+    # order of shifts is known to one module
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.name == "sequences.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "shifts"]
+    assert found == []
+
+
 def test_no_libm_rounding_calls_in_package():
     # logs and directed rounding use integer arithmetic; a request that
     # first calls math.log2 or math.nextafter maps libm's code pages

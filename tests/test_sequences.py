@@ -1,12 +1,16 @@
 """Eventually periodic sequences: canonical form, order, admissibility."""
 
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from betahole.sequences import (EpSequence, lex_compare_ep, is_in_Q,
-                                is_admissible, ZERO, ONES)
+from betahole.bifurcation import in_E_plus
+from betahole.errors import NotInQ
+from betahole.sequences import (EpSequence, extreme_shifts, lex_compare_ep,
+                                is_in_Q, is_admissible, ZERO, ONES)
+from betahole.survivor import LexSubshift, membership
 
 pre_st = st.text(alphabet="01", max_size=6)
 per_st = st.text(alphabet="01", min_size=1, max_size=6)
@@ -97,3 +101,64 @@ def test_first_window_shifts_are_pairwise_distinct():
             firsts = [s.shift(n) for n in range(s.window)]
             assert len(set(firsts)) == s.window, (pre, per)
             assert s.shifts() == firsts
+
+
+# the per-shift loops that extreme_shifts replaced, kept as the reference
+def loop_is_in_Q(a):
+    return not a.is_zero_tail() and \
+        all(lex_compare_ep(s, a) <= 0 for s in a.shifts())
+
+
+def loop_is_admissible(x, alpha):
+    return all(lex_compare_ep(s, alpha) < 0 for s in x.shifts())
+
+
+def loop_in_E_plus(t, alpha):
+    for s in t.shifts():
+        if lex_compare_ep(s, t) < 0 or lex_compare_ep(s, alpha) >= 0:
+            return False
+    return True
+
+
+def loop_membership(x, shift):
+    for s in x.shifts():
+        c = lex_compare_ep(s, shift.lower)
+        if c < 0 or (shift.strict_lower and c == 0):
+            return False
+        c = lex_compare_ep(s, shift.upper)
+        if c > 0 or (shift.strict_upper and c == 0):
+            return False
+    return True
+
+
+def test_shift_extremes_match_the_per_shift_loops():
+    """Every canonical sequence with |pre| <= 4 and |per| <= 5, against
+    bounds drawn from the same pool and against its own extreme shifts,
+    where the strictness of a bound decides."""
+    pool = sorted({EpSequence(pre, per) for pre in words(0, 4)
+                   for per in words(1, 5)}, key=str)
+    in_q = [a for a in pool if loop_is_in_Q(a)]
+    rng = random.Random(17)
+    for x in pool:
+        shifts = x.shifts()
+        least, greatest = shifts[0], shifts[0]
+        for s in shifts:
+            if lex_compare_ep(s, least) < 0:
+                least = s
+            if lex_compare_ep(s, greatest) > 0:
+                greatest = s
+        assert extreme_shifts(x) == (least, greatest), x
+        assert is_in_Q(x) == loop_is_in_Q(x), x
+        bounds = rng.sample(pool, 3) + [least, greatest, x]
+        for alpha in bounds:
+            assert is_admissible(x, alpha) == loop_is_admissible(x, alpha)
+        for alpha in rng.sample(in_q, 3) + [a for a in bounds if a in in_q]:
+            assert in_E_plus(x, alpha) == loop_in_E_plus(x, alpha), (x, alpha)
+        for lower, upper in [rng.sample(pool, 2), (least, greatest),
+                             (x, greatest), (least, x)]:
+            for strict in product((False, True), repeat=2):
+                shift = LexSubshift(lower, upper, *strict)
+                assert membership(x, shift) == loop_membership(x, shift), \
+                    (x, lower, upper, strict)
+    with pytest.raises(NotInQ):
+        in_E_plus(ONES, EpSequence("", "01"))

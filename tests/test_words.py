@@ -37,6 +37,9 @@ def test_lex_compare_basics():
     assert W.lex_compare("10", "1") == 0   # 10 vs 1(0) padded
     assert W.lex_compare("11", "1") == 1
     assert W.lex_compare("0110", "0111") == -1
+    for bad in ["", "012", "0 1", None, ["0", "1"]]:
+        with pytest.raises(ValueError, match="nonempty string over"):
+            W.check_word(bad)
 
 
 @given(words_st, words_st)
