@@ -146,11 +146,14 @@ class TauReport:
 def _locate(beta, depth):
     """Place beta against the Farey intervals whose generators have length
     at most `depth`, by a walk down the Stern-Brocot tree of the generator
-    slopes m/q (generator reflect(c(q - m, q))), whose intervals are
-    disjoint and rise with m/q.
+    slopes m/q, whose intervals are disjoint and rise with m/q.
 
-    Returns ("left", rec) if beta = gamma_L of rec, ("inside", rec) if
-    beta lies in (gamma_L, gamma_R] of rec, else ("gap", w): w >= the gap
+    The generator a = reflect(c(q - m, q)) needs no check: its interval
+    has alpha_L = (a)^inf and alpha_R = a+ (reversed a)^inf, since the
+    reversal of a is its Lyndon rotation (see farey_interval).
+
+    Returns ("left", a) if beta = gamma_L of the generator a, ("inside", a)
+    if beta lies in (gamma_L, gamma_R] of a, else ("gap", w): w >= the gap
     around beta, from the gamma_R bracket of the last node below beta
     (else 1) to the gamma_L bracket of the last node above it (else 2).
     Once the next mediant is longer than `depth`, those two nodes are
@@ -160,18 +163,20 @@ def _locate(beta, depth):
     lm, lq, rm, rq = 0, 1, 1, 1
     while lq + rq <= depth:
         m, q = lm + rm, lq + rq
-        r = B.basic_interval(W.reflect(W.christoffel(q - m, q)))
-        c = beta.compare(r.alpha_L)
+        a = W.reflect(W.christoffel(q - m, q))
+        alpha_L = EpSequence("", a)
+        c = beta.compare(alpha_L)
         if c == 0:
-            return "left", r
+            return "left", a
         if c < 0:
-            right, rm, rq = r, m, q
-        elif beta.compare(r.alpha_R) <= 0:
-            return "inside", r
-        else:
-            left, lm, lq = r, m, q
-    lo = left.beta_R.value.a if left else 1
-    hi = right.beta_L.value.b if right else 2
+            right, rm, rq = alpha_L, m, q
+            continue
+        alpha_R = EpSequence(W.plus(a), a[::-1])
+        if beta.compare(alpha_R) <= 0:
+            return "inside", a
+        left, lm, lq = alpha_R, m, q
+    lo = N.beta_from_alpha(left).a if left else 1
+    hi = N.beta_from_alpha(right).b if right else 2
     return "gap", hi - lo
 
 
@@ -187,14 +192,14 @@ def tau_report(beta, atlas_depth=10):
                          {"note": "doubling map"}, atlas_depth, True)
     where, found = _locate(beta, atlas_depth)
     if where == "left":
-        a = found.generator
+        a = found
         return TauReport(
             beta, "left_endpoint",
             float_down(one_minus.a), float_up(one_minus.b),
             {"generator": a, "hole_expansion": a[::-1] + "(0)"},
             atlas_depth, True)
     if where == "inside":
-        a = found.generator
+        a = found
         ts = t_star_sequence(a)
         td = t_diamond_sequence(a)
         tsv = N.project(ts, beta.value)
@@ -210,12 +215,6 @@ def tau_report(beta, atlas_depth=10):
                          float_down(tsv.a), float_up(tdv.b),
                          wit, atlas_depth, True)
     # outside every atlas interval at this depth: found >= the gap width
-    if found < 1e-6:
-        return TauReport(beta, "outside_closure",
-                         float_down(one_minus.a),
-                         float_up(one_minus.b),
-                         {"gap": float_up(found)}, atlas_depth, False,
-                         "atlas-depth limited")
     return TauReport(beta, "outside_closure",
                      0.0, float_up(one_minus.b),
                      {"gap": float_up(found)}, atlas_depth, False,

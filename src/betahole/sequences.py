@@ -11,14 +11,6 @@ from math import gcd
 from . import words as W
 
 
-def _primitive(per):
-    n = len(per)
-    for d in range(1, n + 1):
-        if n % d == 0 and per == per[:d] * (n // d):
-            return per[:d]
-    return per
-
-
 @dataclass(frozen=True, order=False)
 class EpSequence:
     pre: str
@@ -28,7 +20,8 @@ class EpSequence:
         if self.pre:
             W.check_word(self.pre)
         W.check_word(self.per)
-        per = _primitive(self.per)
+        # the primitive root of per: its first recurrence in per + per
+        per = self.per[:(self.per * 2).find(self.per, 1)]
         pre = self.pre
         # absorb a preperiod tail that merely repeats the period
         while pre and pre[-1] == per[-1]:

@@ -16,7 +16,8 @@ from .errors import (
     PeriodicWord,
 )
 
-MAX_FAREY_LEVEL = 20
+# level n holds 3**n + 1 letters in all: 4,782,970 at level 14
+MAX_FAREY_LEVEL = 14
 
 
 def check_word(w):
@@ -68,13 +69,10 @@ def reflect(w):
 
 
 def is_aperiodic(w):
-    """True unless w is a power of a strictly shorter word."""
+    """True unless w is a power of a strictly shorter word: the first
+    p >= 1 at which w occurs in ww is the length of its primitive root."""
     check_word(w)
-    n = len(w)
-    for d in range(1, n):
-        if n % d == 0 and w == w[:d] * (n // d):
-            return False
-    return True
+    return (w + w).find(w, 1) == len(w)
 
 
 def is_lyndon(w):

@@ -203,6 +203,7 @@ def test_out_of_range_digits_and_n_are_usage_errors():
              ("staircase", "--beta", "1.5", "--t-max", "0.3",
               "--samples", "4", "--horizon", "-2"),
              ("farey", "--level", "-1"),
+             ("farey", "--level", "15"),
              ("farey", "--level", "21")]
     for args in cases:
         r = run(*args)

@@ -1,6 +1,7 @@
 """Critical hole size: Z-sets, approximants, emptiness, tau regimes."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -21,12 +22,12 @@ def linear_locate(beta, recs):
     for r in recs:
         c = beta.compare(r.alpha_L)
         if c == 0:
-            return "left", r
+            return "left", r.generator
         if c < 0:
             right = r
             break
         if beta.compare(r.alpha_R) <= 0:
-            return "inside", r
+            return "inside", r.generator
         if left is None or lex_compare_ep(r.alpha_R, left.alpha_R) > 0:
             left = r
     lo = left.beta_R.value.a if left else 1
@@ -216,7 +217,7 @@ def test_outside_closure_gap_solves_at_most_two_roots():
 
 
 def test_descent_matches_linear_atlas_scan():
-    """Regime, record and exact gap of the descent equal a linear scan
+    """Regime, generator word and exact gap of the descent equal a linear scan
     of B.atlas(depth, "farey") over the bases 1.001 + 0.005k, k < 200,
     and over both endpoints of every Farey interval of depth 5."""
     bases = [BetaSpec.parse("1.%03d" % (1 + 5 * k)) for k in range(200)]
@@ -228,19 +229,37 @@ def test_descent_matches_linear_atlas_scan():
                 (beta.value, depth)
 
 
+def test_christoffel_generators_meet_the_validating_interval():
+    """The descent takes alpha_L = (a)^inf and alpha_R = a+ (reversed
+    a)^inf for a = reflect(c(q - m, q)) unchecked; basic_interval, which
+    checks every condition, agrees on all reduced slopes with q <= 60."""
+    slopes = [(m, q) for q in range(2, 61) for m in range(1, q)
+              if gcd(m, q) == 1]
+    assert len(slopes) == 1101
+    for m, q in slopes:
+        a = W.reflect(W.christoffel(q - m, q))
+        r = B.basic_interval(a)
+        assert r.alpha_L == EpSequence("", a), a
+        assert r.alpha_R == EpSequence(W.plus(a), a[::-1]), a
+        assert r.kind == "farey", a
+
+
 def test_tau_report_builds_at_most_depth_records(monkeypatch):
     calls = []
-    basic_interval = B.basic_interval
+    christoffel = W.christoffel
 
-    def counting(a):
-        calls.append(a)
-        return basic_interval(a)
+    def counting(p, q):
+        calls.append((p, q))
+        return christoffel(p, q)
 
-    def no_atlas(*args, **kwargs):
-        raise AssertionError("tau_report built an atlas")
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError("tau_report called B.%s" % name)
+        return call
 
-    monkeypatch.setattr(B, "basic_interval", counting)
-    monkeypatch.setattr(B, "atlas", no_atlas)
+    monkeypatch.setattr(W, "christoffel", counting)
+    monkeypatch.setattr(B, "atlas", forbidden("atlas"))
+    monkeypatch.setattr(B, "basic_interval", forbidden("basic_interval"))
     for b, depth in (("1.57", 40), ("1.05", 10), ("1.999", 12), ("1.7", 10)):
         del calls[:]
         C.tau_report(BetaSpec.parse(b), atlas_depth=depth)
@@ -260,3 +279,21 @@ def test_deep_descent_validates_few_words(monkeypatch):
     monkeypatch.setattr(W, "check_word", counting)
     C.tau_report(BetaSpec.parse("1.001"), 200)
     assert len(calls) < 10000
+
+
+def test_gap_lower_bound_never_exceeds_tau():
+    """Deep in an atlas gap, tau_report once printed tau_lower = 1 - 1/beta
+    ("atlas-depth limited"); at this base that lies above tau = t*, which
+    the depth-60 descent certifies."""
+    beta = BetaSpec.parse("1.83524463578171227100681651915")
+    deep = C.tau_report(beta, atlas_depth=60)
+    assert deep.regime == "inside_farey_low"
+    t_star = project(C.t_star_sequence(deep.witnesses["generator"]),
+                     beta.value)
+    assert t_star.a == t_star.b
+    rep = C.tau_report(beta, atlas_depth=40)
+    assert rep.regime == "outside_closure" and not rep.certified
+    assert rep.witnesses["gap"] < 1e-14
+    assert Fraction(rep.tau_lower) <= t_star.a
+    printed = C.tau_json(rep, 17)["tau_lower"]
+    assert Fraction(printed) <= Fraction(C.tau_json(deep, 17)["tau_lower"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from betahole import words as W
+from betahole.sequences import EpSequence
 from betahole.errors import (LastDigitMismatch, LevelTooLarge, NotFarey,
                              DegenerateFarey, PeriodicWord)
 
@@ -105,10 +106,28 @@ def test_rotation_extremes_are_rotations(w):
     assert W.max_rotation(w) == max(rots)
 
 
+def test_primitive_period_from_the_ww_identity_up_to_14():
+    """is_aperiodic and the canonical period of (w)^inf equal the old
+    divisor-loop definitions on every word of length <= 14."""
+    def root(w):
+        n = len(w)
+        for d in range(1, n + 1):
+            if n % d == 0 and w == w[:d] * (n // d):
+                return w[:d]
+
+    for n in range(1, 15):
+        for w in all_words(n):
+            r = root(w)
+            assert W.is_aperiodic(w) == (r == w), w
+            assert EpSequence("", w).per == r, w
+
+
 def test_farey_levels():
     assert W.farey_level(0) == ("0", "1")
     assert W.farey_level(1) == ("0", "01", "1")
     assert W.farey_level(2) == ("0", "001", "01", "011", "1")
+    with pytest.raises(LevelTooLarge):
+        W.farey_level(15)
     with pytest.raises(LevelTooLarge):
         W.farey_level(99)
 
