@@ -9,7 +9,6 @@ byte-identical.
 import json
 import sys
 from fractions import Fraction
-from functools import wraps
 
 import click
 
@@ -23,34 +22,11 @@ from . import critical as C
 from . import numeric as N
 
 
-def domain_errors(f):
-    @wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except (BetaHoleError, ValueError) as e:
-            click.echo("error: %s" % e, err=True)
-            sys.exit(1)
-    return wrapper
-
-
 def _fmt(x, digits):
     return ("%%.%df" % digits) % x
 
 
-def _at_least(low, high=None):
-    """Option callback that rejects values below `low` (or above `high`)
-    as a usage error; an unset option (None) passes."""
-    def check(ctx, param, value):
-        if value is not None and value < low:
-            raise click.BadParameter("must be at least %d" % low)
-        if value is not None and high is not None and value > high:
-            raise click.BadParameter("must be at most %d" % high)
-        return value
-    return check
-
-
-_NONNEGATIVE, _POSITIVE = _at_least(0), _at_least(1)
+_NONNEGATIVE, _POSITIVE = click.IntRange(min=0), click.IntRange(min=1)
 
 
 def _show_help(ctx, param, value):
@@ -74,6 +50,14 @@ class _Command(click.Command):
 class _Group(_Command, click.Group):
     command_class = _Command
 
+    def invoke(self, ctx):
+        """Run the command; a domain error from any of them exits 1."""
+        try:
+            return super().invoke(ctx)
+        except (BetaHoleError, ValueError) as e:
+            click.echo("error: %s" % e, err=True)
+            sys.exit(1)
+
 
 @click.group(cls=_Group)
 def main():
@@ -84,10 +68,9 @@ def main():
 @click.option("--x", required=True, help="point in [0,1] (decimal)")
 @click.option("--beta", "beta_s", required=True,
               help='base: decimal or "@PRE(PER)"')
-@click.option("--n", default=24, show_default=True, callback=_POSITIVE)
+@click.option("--n", default=24, show_default=True, type=_POSITIVE)
 @click.option("--mode", type=click.Choice(["greedy", "quasi"]),
               default="greedy", show_default=True)
-@domain_errors
 def expand(x, beta_s, n, mode):
     """Digits of the (quasi-)greedy expansion of x in base beta."""
     beta = BetaSpec.parse(beta_s)
@@ -111,8 +94,7 @@ def expand(x, beta_s, n, mode):
 
 @main.command()
 @click.option("--beta", "beta_s", required=True)
-@click.option("--n", default=48, show_default=True, callback=_POSITIVE)
-@domain_errors
+@click.option("--n", default=48, show_default=True, type=_POSITIVE)
 def alpha(beta_s, n):
     """Expansion of 1 in base beta; reports a closed form if one is found."""
     beta = BetaSpec.parse(beta_s)
@@ -126,8 +108,7 @@ def alpha(beta_s, n):
 
 @main.command("solve-beta")
 @click.option("--alpha", "alpha_s", required=True, help='"PRE(PER)"')
-@click.option("--digits", default=12, show_default=True, callback=_NONNEGATIVE)
-@domain_errors
+@click.option("--digits", default=12, show_default=True, type=_NONNEGATIVE)
 def solve_beta(alpha_s, digits):
     """Base whose expansion of 1 equals the given sequence."""
     b = N.beta_from_alpha(EpSequence.parse(alpha_s))
@@ -139,7 +120,6 @@ def solve_beta(alpha_s, digits):
 @click.option("--x", "x_s", required=True, help='sequence "PRE(PER)"')
 @click.option("--alpha", "alpha_s", default=None, help='"PRE(PER)"')
 @click.option("--beta", "beta_s", default=None)
-@domain_errors
 def admissible(x_s, alpha_s, beta_s):
     """Parry admissibility of a sequence (all shifts strictly below alpha)."""
     if (alpha_s is None) == (beta_s is None):
@@ -155,9 +135,8 @@ def admissible(x_s, alpha_s, beta_s):
 
 
 @main.command()
-@click.option("--level", type=int, callback=_at_least(0, W.MAX_FAREY_LEVEL))
+@click.option("--level", type=click.IntRange(0, W.MAX_FAREY_LEVEL))
 @click.option("--check", default=None, help="word to test for membership")
-@domain_errors
 def farey(level, check):
     """Farey word families: list a level, or test one word."""
     if (level is None) == (check is None):
@@ -170,7 +149,6 @@ def farey(level, check):
 
 @main.command()
 @click.option("--word", required=True)
-@domain_errors
 def factorize(word):
     """Standard factorization of a non-degenerate Farey word."""
     u, v = W.standard_factorization(word)
@@ -178,16 +156,13 @@ def factorize(word):
 
 
 @main.command()
-@click.option("--max-len", type=int, required=True)
+@click.option("--max-len", type=click.IntRange(2, 12), required=True)
 @click.option("--kind", type=click.Choice(["farey", "all"]), default="all",
               show_default=True)
-@click.option("--digits", default=12, show_default=True, callback=_POSITIVE)
+@click.option("--digits", default=12, show_default=True, type=_POSITIVE)
 @click.option("--nesting/--no-nesting", default=True, show_default=True)
-@domain_errors
 def atlas(max_len, kind, digits, nesting):
     """JSON atlas of basic/Farey parameter intervals up to a generator length."""
-    if max_len > 12 or max_len < 2:
-        raise click.UsageError("--max-len must be in [2, 12]")
     recs = B.atlas(max_len, kind)
     doc = {"intervals": B.atlas_json(recs, digits)}
     if nesting:
@@ -201,16 +176,13 @@ def atlas(max_len, kind, digits, nesting):
 @click.option("--beta", "beta_s", required=True)
 @click.option("--t-min", type=float, default=0.0, show_default=True)
 @click.option("--t-max", type=float, required=True)
-@click.option("--samples", type=int, required=True)
-@click.option("--digits", default=12, show_default=True, callback=_NONNEGATIVE)
+@click.option("--samples", type=click.IntRange(min=2), required=True)
+@click.option("--digits", default=12, show_default=True, type=_NONNEGATIVE)
 @click.option("--horizon", default=N.DEFAULT_HORIZON, show_default=True,
-              callback=_POSITIVE)
-@domain_errors
+              type=_POSITIVE)
 def staircase(beta_s, t_min, t_max, samples, digits, horizon):
     """CSV sweep of entropy/dimension brackets over a grid of hole sizes;
     each bracket is rounded outward at --digits."""
-    if samples < 2:
-        raise click.UsageError("--samples must be >= 2")
     if not (0 <= t_min < t_max <= 1):
         raise click.UsageError("need 0 <= t-min < t-max <= 1")
     beta = BetaSpec.parse(beta_s)
@@ -231,9 +203,8 @@ def staircase(beta_s, t_min, t_max, samples, digits, horizon):
 @main.command()
 @click.option("--beta", "beta_s", required=True)
 @click.option("--atlas-depth", default=10, show_default=True,
-              callback=_at_least(2))
-@click.option("--digits", default=12, show_default=True, callback=_NONNEGATIVE)
-@domain_errors
+              type=click.IntRange(min=2))
+@click.option("--digits", default=12, show_default=True, type=_NONNEGATIVE)
 def tau(beta_s, atlas_depth, digits):
     """Critical hole size report (regime plus certified bracket), as JSON."""
     beta = BetaSpec.parse(beta_s)
@@ -244,7 +215,6 @@ def tau(beta_s, atlas_depth, digits):
 @main.command()
 @click.option("--word", required=True, help="Lyndon period of t")
 @click.option("--beta", "beta_s", required=True)
-@domain_errors
 def isolated(word, beta_s):
     """Classify whether the periodic point (word)^inf is isolated in E+."""
     beta = BetaSpec.parse(beta_s)
@@ -254,7 +224,6 @@ def isolated(word, beta_s):
 
 @main.command()
 @click.option("--word", required=True, help="generator a")
-@domain_errors
 def zset(word):
     """Enumerate the finite two-sided-bounded set attached to a generator."""
     members = C.z_set(word)
@@ -266,7 +235,6 @@ def zset(word):
 @main.command()
 @click.option("--t", "t_s", required=True, help='sequence "PRE(PER)"')
 @click.option("--beta", "beta_s", required=True)
-@domain_errors
 def classify(t_s, beta_s):
     """Bifurcation-set membership of a hole endpoint given symbolically."""
     beta = BetaSpec.parse(beta_s)

@@ -212,11 +212,13 @@ def _expand(x, beta, n, tie, orbit=False):
     seen = {}
     for i in range(n):
         if orbit and y.a == y.b:
-            if y.a in seen:
-                j = seen[y.a]
+            # a Fraction's hash takes a modular inverse; its pair does not
+            key = y.a.as_integer_ratio()
+            if key in seen:
+                j = seen[key]
                 return "".join(out), True, EpSequence("".join(out[:j]),
                                                       "".join(out[j:]))
-            seen[y.a] = i
+            seen[key] = i
         c = y * beta
         if c.b < 1 or (c.b == 1 and tie == "0"):
             out.append("0")

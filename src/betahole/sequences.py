@@ -6,7 +6,6 @@ structural equality coincides with equality of the infinite sequences.
 """
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import words as W
 
@@ -80,20 +79,15 @@ class EpSequence:
 def lex_compare_ep(u, v):
     """Exact comparison of two eventually periodic sequences (-1, 0, 1).
 
-    Beyond the combined preperiods plus one common period both sequences
-    run in lockstep, so a finite window decides.
+    Past the longer preperiod both are periodic, with periods p and q;
+    by Fine and Wilf two such tails that agree on p + q digits agree
+    forever, so the first difference lies in that window.
     """
     if u == v:
         return 0
-    l = len(u.per) * len(v.per) // gcd(len(u.per), len(v.per))
-    n = len(u.pre) + len(v.pre) + 2 * l
-    a = u.prefix(n)
-    b = v.prefix(n)
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
+    n = max(len(u.pre), len(v.pre)) + len(u.per) + len(v.per)
+    a, b = u.prefix(n), v.prefix(n)
+    return (a > b) - (a < b)
 
 
 def extreme_shifts(x):

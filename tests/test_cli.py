@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
 from betahole.cli import main
@@ -31,6 +32,26 @@ def test_expand_quasi_symbolic():
 def test_expand_out_of_range_exits_1():
     r = run("expand", "--x", "1.5", "--beta", "2")
     assert r.exit_code == 1
+
+
+@pytest.mark.parametrize("args", [
+    "expand --x 1.5 --beta 2",
+    "alpha --beta 3",
+    "solve-beta --alpha (0)",
+    "admissible --x (01) --beta 1.7",
+    "farey --check 2",
+    "factorize --word 0101",
+    "staircase --beta 3 --t-max 0.3 --samples 4",
+    "tau --beta 3",
+    "isolated --word 10 --beta 1.7",
+    "zset --word 1010",
+    "classify --t (01) --beta 1.7",
+], ids=lambda args: args.split()[0])
+def test_domain_errors_exit_1(args):
+    r = run(*args.split())
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
 def test_expand_bad_flag_exits_2():
@@ -204,13 +225,17 @@ def test_out_of_range_digits_and_n_are_usage_errors():
               "--samples", "4", "--horizon", "-2"),
              ("farey", "--level", "-1"),
              ("farey", "--level", "15"),
-             ("farey", "--level", "21")]
+             ("farey", "--level", "21"),
+             ("atlas", "--max-len", "1"),
+             ("atlas", "--max-len", "13"),
+             ("staircase", "--beta", "1.5", "--t-max", "0.3",
+              "--samples", "1")]
     for args in cases:
         r = run(*args)
         assert r.exit_code == 2, args
         assert r.stdout == "", args
-        assert "Invalid value for '--%s'" % args[-2].lstrip("-") \
-            in r.stderr, args
+        assert "Invalid value for '--%s': %s is not in the range" % (
+            args[-2].lstrip("-"), args[-1]) in r.stderr, args
 
 
 def test_smallest_digits_and_n_are_accepted():

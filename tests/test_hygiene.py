@@ -34,11 +34,17 @@ def test_cli_import_does_not_load_mpmath():
 def test_cli_request_does_not_load_locale():
     # click's default --help is built with gettext, whose language lookup
     # imports locale and probes the disk for message catalogs
-    assert run_python(
-        "import io, sys, contextlib, betahole.cli as cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    cli.main(['tau', '--beta', '1.5'], standalone_mode=False)\n"
-        "print('locale' in sys.modules)") == "False"
+    # (a value out of an IntRange is reported through gettext too, but
+    # that request exits 2 at once)
+    for args in [['tau', '--beta', '1.5'],
+                 ['staircase', '--beta', '1.5', '--t-max', '0.3',
+                  '--samples', '3'],
+                 ['atlas', '--max-len', '4', '--kind', 'farey']]:
+        assert run_python(
+            "import io, sys, contextlib, betahole.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(%r, standalone_mode=False)\n"
+            "print('locale' in sys.modules)" % args) == "False", args
 
 
 def test_import_leaves_mpmath_precision_alone():

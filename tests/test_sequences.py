@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from betahole.errors import NotInQ
 from betahole.sequences import (EpSequence, extreme_shifts, lex_compare_ep,
                                 is_in_Q, is_admissible, ZERO, ONES)
 from betahole.survivor import LexSubshift, membership
+from betahole.words import christoffel, reflect
 
 pre_st = st.text(alphabet="01", max_size=6)
 per_st = st.text(alphabet="01", min_size=1, max_size=6)
@@ -58,6 +60,51 @@ def test_lex_compare_ep_matches_long_prefixes(p1, q1, p2, q2):
     c = lex_compare_ep(u, v)
     a, b = u.prefix(60), v.prefix(60)
     assert c == (a > b) - (a < b)
+
+
+def lex_compare_lcm(u, v):
+    """Oracle: compare over both preperiods plus two common periods of
+    lcm(p, q) digits each, a window long enough without Fine and Wilf."""
+    l = len(u.per) * len(v.per) // gcd(len(u.per), len(v.per))
+    n = len(u.pre) + len(v.pre) + 2 * l
+    a, b = u.prefix(n), v.prefix(n)
+    return (a > b) - (a < b)
+
+
+def test_lex_compare_ep_matches_lcm_window():
+    rng = random.Random(1965)
+
+    def word(lo, hi):
+        return "".join(rng.choice("01") for _ in range(rng.randint(lo, hi)))
+
+    for _ in range(3000):
+        u = EpSequence(word(0, 8), word(1, 9))
+        pick = rng.randrange(3)
+        if pick == 0:    # a shared prefix, then any tail
+            v = EpSequence(u.prefix(rng.randint(0, 30)), word(1, 9))
+        elif pick == 1:  # a repeated period with one digit flipped
+            per = u.per * rng.randint(1, 3)
+            i = rng.randrange(len(per))
+            v = EpSequence(u.pre, per[:i] + "10"[int(per[i])] + per[i + 1:])
+        else:            # the same sequence, or one of its shifts
+            v = u.shift(rng.choice([0, rng.randint(0, 12)]))
+        assert lex_compare_ep(u, v) == lex_compare_lcm(u, v), (u, v)
+        assert lex_compare_ep(v, u) == lex_compare_lcm(v, u), (u, v)
+
+
+def test_lex_compare_ep_window_is_linear_in_the_periods(monkeypatch):
+    # slopes 1001/2003 and 999/1999 differ by 2/(2003*1999): the two
+    # sequences first differ at digit 2000, and the lcm window held
+    # 8 million digits
+    u = EpSequence("", reflect(christoffel(1001, 2003)))
+    v = EpSequence("", reflect(christoffel(999, 1999)))
+    expected = lex_compare_lcm(u, v)
+    asked = []
+    prefix = EpSequence.prefix
+    monkeypatch.setattr(EpSequence, "prefix",
+                        lambda self, n: asked.append(n) or prefix(self, n))
+    assert lex_compare_ep(u, v) == expected != 0
+    assert max(asked) <= 2003 + 1999
 
 
 def test_is_in_Q():

@@ -221,6 +221,20 @@ def test_membership():
     assert not membership(E("(0)"), LexSubshift(E("(01)"), E("(10)")))
 
 
+def test_greedy_sequence_finds_exact_periods():
+    # a rational orbit that returns to an earlier point ends the
+    # expansion; an irrational-looking one runs to the horizon
+    cases = [("1/10", "2", E("0(0011)")), ("1/3", "2", E("(01)")),
+             ("0.625", "1.6", E("1(0)")), ("0.3", "1.7", None)]
+    for x, beta, seq in cases:
+        got, digits = S.greedy_sequence(N.Interval(x), N.Interval(beta))
+        assert got == seq, (x, beta)
+        if seq is None:
+            assert len(digits) == N.DEFAULT_HORIZON, (x, beta)
+        else:
+            assert digits == seq.prefix(len(digits)), (x, beta)
+
+
 def test_dimension_at_zero_is_one():
     for bs in ["@(10)", "@(110)", "2"]:
         rep = dimension(BetaSpec.parse(bs), PointSpec(value=0.0))
