@@ -170,15 +170,6 @@ class DoublingInterval:
     q_R: Fraction
 
 
-def pi2_fraction(seq):
-    """Exact binary value of an eventually periodic sequence."""
-    k = len(seq.pre)
-    p = len(seq.per)
-    head = Fraction(int(seq.pre, 2) if seq.pre else 0, 2 ** k)
-    tail = Fraction(int(seq.per, 2), (2 ** p - 1) * 2 ** k)
-    return head + tail
-
-
 def doubling_interval(w):
     """The doubling-map parameter interval (q_L, q_R) attached to a
     non-degenerate Farey word w."""
@@ -186,8 +177,8 @@ def doubling_interval(w):
         raise NotFarey("degenerate word %r" % w)
     if not W.is_farey(w):
         raise NotFarey("%r is not a Farey word" % w)
-    q_R = pi2_fraction(EpSequence("", w))
-    q_L = pi2_fraction(EpSequence("", w[::-1])) - Fraction(1, 2)
+    q_R = N.value_at(EpSequence("", w), 2)
+    q_L = N.value_at(EpSequence("", w[::-1]), 2) - Fraction(1, 2)
     if not q_L < q_R:
         raise CertificateFailed(
             "doubling interval certificate failed: q_L = %s is not below "
@@ -199,13 +190,13 @@ def phi(beta, horizon=N.DEFAULT_HORIZON):
     """pi_2(alpha(beta)): exact Fraction when alpha is known symbolically,
     else a certified interval bracket."""
     if beta.symbolic:
-        return pi2_fraction(beta.alpha)
+        return N.value_at(beta.alpha, 2)
     seq = beta.alpha_sequence(horizon)
     if seq is not None:
-        return pi2_fraction(seq)
+        return N.value_at(seq, 2)
     digits, _ = beta.alpha_prefix(horizon)
-    return Interval(pi2_fraction(EpSequence(digits, "0")),
-                    pi2_fraction(EpSequence(digits, "1")))
+    return Interval(N.value_at(EpSequence(digits, "0"), 2),
+                    N.value_at(EpSequence(digits, "1"), 2))
 
 
 def generators(max_len):
@@ -224,15 +215,6 @@ def atlas(max_len, kind="all"):
     recs = [basic_interval(a) for a in gens]
     recs.sort(key=lambda r: r.alpha_L.prefix(2 * max_len + 4))
     return recs
-
-
-def zero_run_flag(beta, horizon=N.DEFAULT_HORIZON):
-    """Heuristic: max run of 0s in the first `horizon` digits of
-    alpha(beta).  Bounded runs over a long horizon suggest (but never
-    prove, for numeric beta) the bounded-zero-run kneading class."""
-    digits, _ = beta.alpha_prefix(horizon)
-    runs = [len(r) for r in digits.split("1") if r]
-    return max(runs) if runs else 0
 
 
 def atlas_json(recs, digits=12):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import click
 
-from .errors import BetaHoleError, OutOfRange
+from .errors import BetaHoleError
 from .sequences import EpSequence, is_admissible
 from .numeric import BetaSpec, Interval
 from .survivor import PointSpec, dimension
@@ -76,16 +76,11 @@ def expand(x, beta_s, n, mode):
     beta = BetaSpec.parse(beta_s)
     xv = Interval(x)
     if mode == "greedy":
-        if not (xv.a >= 0 and xv.b < 1):
-            raise OutOfRange("greedy expansion needs x in [0,1)")
         digits, cert = N.greedy_digits(xv, beta.value, n)
+    elif xv.a == xv.b == 1:
+        digits, cert = beta.alpha_prefix(n)
     else:
-        if not (xv.a > 0 and xv.b <= 1):
-            raise OutOfRange("quasi-greedy expansion needs x in (0,1]")
-        if xv.a == 1 and xv.b == 1:
-            digits, cert = beta.alpha_prefix(n)
-        else:
-            digits, cert = N.quasi_greedy_digits(xv, beta.value, n)
+        digits, cert = N.quasi_greedy_digits(xv, beta.value, n)
     click.echo(digits)
     if not cert:
         click.echo("certified to %d of %d digits" % (len(digits), n),

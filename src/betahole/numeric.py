@@ -198,26 +198,28 @@ def fixed(x, digits, up):
                    "%d" % whole)
 
 
-def _expand(x, beta, n, tie, orbit=False):
-    """The digit loop behind greedy_digits, quasi_greedy_digits and
-    survivor.greedy_sequence, for Intervals x in [0, 1] and beta > 1.
+def _expand(x, beta, n, tie):
+    """The digit loop behind greedy_digits, quasi_greedy_digits,
+    alpha_of_beta and survivor.greedy_sequence, for Intervals x and
+    beta > 1.
 
     Digit 0 where beta*y < 1, 1 where beta*y > 1 and `tie` where
     beta*y == 1; it stops uncertified when beta*y straddles a decision.
-    With `orbit`, a point orbit that returns to an earlier point ends it.
+    A point orbit that returns to an earlier point is eventually periodic:
+    it ends the loop with that sequence's first n digits.
     Returns (digits, certified, the eventually periodic sequence or None).
     """
     y = x
     out = []
     seen = {}
     for i in range(n):
-        if orbit and y.a == y.b:
+        if y.a == y.b:
             # a Fraction's hash takes a modular inverse; its pair does not
             key = y.a.as_integer_ratio()
             if key in seen:
                 j = seen[key]
-                return "".join(out), True, EpSequence("".join(out[:j]),
-                                                      "".join(out[j:]))
+                seq = EpSequence("".join(out[:j]), "".join(out[j:]))
+                return seq.prefix(n), True, seq
             seen[key] = i
         c = y * beta
         if c.b < 1 or (c.b == 1 and tie == "0"):
@@ -232,13 +234,15 @@ def _expand(x, beta, n, tie, orbit=False):
 
 
 def greedy_digits(x, beta, n=DEFAULT_HORIZON):
-    """Greedy expansion digits of x in base beta (both intervals).
+    """Greedy expansion digits of x in [0,1) base beta (both intervals).
 
     Returns (digits, certified): `digits` is a 0/1 string of length at most
     n and `certified` is True when all n digits were decided.  An orbit
     point landing on the critical value 1/beta within the interval
     resolution stops the certification early; an exact hit takes digit 1.
     """
+    if not (x.a >= 0 and x.b < 1):
+        raise OutOfRange("greedy expansion needs x in [0,1)")
     return _expand(x, beta, n, "1")[:2]
 
 
@@ -248,34 +252,9 @@ def quasi_greedy_digits(x, beta, n=DEFAULT_HORIZON):
     Same contract as greedy_digits; the tie beta*y == 1 takes digit 0
     (keeping the orbit in (0,1]), so the expansion never ends in zeros.
     """
+    if not (x.a > 0 and x.b <= 1):
+        raise OutOfRange("quasi-greedy expansion needs x in (0,1]")
     return _expand(x, beta, n, "0")[:2]
-
-
-def project(seq, beta):
-    """pi_beta(seq) = sum digit_i / beta^i as a certified interval.
-
-    Uses the closed form for the periodic tail, so there is no truncation
-    error: the result is exact at a point beta."""
-    r = 1 / beta
-    val = Interval(0)
-    p = Interval(1)
-    for d in seq.pre:
-        p = p * r
-        if d == "1":
-            val = val + p
-    tail = Interval(0)
-    q = Interval(1)
-    for d in seq.per:
-        q = q * r
-        if d == "1":
-            tail = tail + q
-    rp = r ** len(seq.per)
-    return val + p * tail / (1 - rp)
-
-
-def project_word(w, beta):
-    """Finite sum w_1/beta + ... + w_m/beta^m."""
-    return project(EpSequence(w, "0"), beta)
 
 
 def _sign_polynomial(alpha):
@@ -295,49 +274,73 @@ def _sign_polynomial(alpha):
     return f
 
 
+def _horner(f, p, q):
+    """F(p/q) * q^deg F for integer coefficients f, constant term first,
+    by Horner's rule on Python ints."""
+    v, qk = 0, 1
+    for c in reversed(f):
+        v = v * p + c * qk
+        qk *= q
+    return v
+
+
+def value_at(seq, x):
+    """pi_x(seq) = sum digit_i / x^i as an exact Fraction, for a
+    rational x > 1.
+
+    With x = P/Q, k = len(pre) and p = len(per), the identity behind
+    _sign_polynomial gives pi_x(seq) = 1 + F(P/Q) Q^(k+p) / (P^k (P^p - Q^p)).
+    """
+    x = Fraction(x)
+    P, Q = x.numerator, x.denominator
+    k, p = len(seq.pre), len(seq.per)
+    return 1 + Fraction(_horner(_sign_polynomial(seq), P, Q),
+                        P ** k * (P ** p - Q ** p))
+
+
+def project(seq, beta):
+    """pi_beta(seq) = sum digit_i / beta^i over the Interval beta, with
+    no truncation error: pi falls as the base grows, so the exact range
+    is [value_at(seq, b), value_at(seq, a)] for beta = [a, b]."""
+    return Interval(value_at(seq, beta.b), value_at(seq, beta.a))
+
+
 @lru_cache(maxsize=None)
 def beta_from_alpha(alpha):
     """Base beta in (1,2] whose quasi-greedy expansion of 1 is alpha.
 
-    Bisection over the dyadic points m/2^ROOT_BITS of [1, 2]: each step
-    takes the exact sign of the integer polynomial F(m/2^ROOT_BITS) *
-    2^(ROOT_BITS * deg F) (see _sign_polynomial), evaluated by Horner's
-    rule on Python ints.  Returns the Interval of width exactly
-    2^-ROOT_BITS that contains the root.
+    Bisection over dyadic points: step t halves the bracket
+    [lo, lo + 1] / 2^(t-1) at m/2^t, m = 2 lo + 1, by the exact sign of
+    the integer F(m/2^t) * 2^(t deg F) (see _sign_polynomial and _horner),
+    so the integers grow with the bracket's precision.  Returns the
+    Interval of width exactly 2^-ROOT_BITS that contains the root.
     """
     if not S.is_in_Q(alpha):
         raise NotInQ("%s is not a quasi-greedy expansion of 1" % alpha)
     if alpha == S.ONES:
         return Interval(2)
-    f = _sign_polynomial(alpha)[::-1]
-    lo, hi = 1 << ROOT_BITS, 2 << ROOT_BITS
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        v = 0
-        for j, c in enumerate(f):
-            v = v * mid + (c << (ROOT_BITS * j))
-        if v > 0:
-            # pi_x(alpha) still above 1 at x = mid/2^ROOT_BITS: x < beta
-            lo = mid
-        else:
-            hi = mid
+    f = _sign_polynomial(alpha)
+    lo = 1
+    for t in range(1, ROOT_BITS + 1):
+        mid = 2 * lo + 1
+        # pi_x(alpha) still above 1 at x = mid/2^t: x < beta
+        lo = mid if _horner(f, mid, 1 << t) > 0 else mid - 1
     return Interval(Fraction(lo, 1 << ROOT_BITS),
-                    Fraction(hi, 1 << ROOT_BITS))
+                    Fraction(lo + 1, 1 << ROOT_BITS))
 
 
 def alpha_of_beta(beta, n=DEFAULT_HORIZON):
     """Quasi-greedy expansion of 1 in base beta (an Interval).
 
-    Returns (digits, certified, seq): seq is the closed form 1^inf when
-    beta is exactly 2, else None.  A rational beta with an eventually
-    periodic alpha(beta) is a root of a monic integer polynomial, so an
-    algebraic integer, and the only rational one in (1, 2] is 2 (Parry
-    1960); any other closed form is known only from the symbolic alpha
-    that BetaSpec keeps.
+    Returns (digits, certified, seq): seq is the closed form when the
+    orbit of 1 returns exactly to an earlier point, else None.  A rational
+    beta with an eventually periodic alpha(beta) is a root of a monic
+    integer polynomial, so an algebraic integer, and the only rational one
+    in (1, 2] is 2 (Parry 1960): only beta = 2 closes, with 1^inf.  Any
+    other closed form is known only from the symbolic alpha that BetaSpec
+    keeps.
     """
-    digits, certified = quasi_greedy_digits(Interval(1), beta, n)
-    seq = S.ONES if beta.a == beta.b == 2 else None
-    return digits, certified, seq
+    return _expand(Interval(1), beta, n, "0")
 
 
 class BetaSpec:
@@ -383,11 +386,8 @@ class BetaSpec:
             raise NotInQ("%s is not a quasi-greedy expansion of 1" % alpha)
         if self.symbolic:
             return S.lex_compare_ep(self.alpha, alpha)
-        p, q = self.value.a.numerator, self.value.a.denominator
-        v, qk = 0, 1
-        for c in reversed(_sign_polynomial(alpha)):
-            v = v * p + c * qk
-            qk *= q
+        x = self.value.a
+        v = _horner(_sign_polynomial(alpha), x.numerator, x.denominator)
         return (v < 0) - (v > 0)
 
     def _alpha(self, n):

@@ -343,7 +343,7 @@ def greedy_sequence(x, beta, horizon=N.DEFAULT_HORIZON):
     that returns exactly to an earlier point (e.g. hits 0), else None;
     prefix is the certified digit prefix either way.
     """
-    digits, _, seq = N._expand(x, beta, horizon, "1", orbit=True)
+    digits, _, seq = N._expand(x, beta, horizon, "1")
     return seq, digits
 
 

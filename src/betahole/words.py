@@ -76,14 +76,9 @@ def is_aperiodic(w):
 
 
 def is_lyndon(w):
-    """True iff every proper suffix of w is strictly larger than the
-    corresponding prefix (single letters count as Lyndon)."""
-    check_word(w)
-    m = len(w)
-    for i in range(1, m):
-        if lex_compare(w[i:], w[: m - i]) <= 0:
-            return False
-    return True
+    """True iff w is aperiodic and strictly smaller than its other
+    rotations (single letters count as Lyndon)."""
+    return is_aperiodic(w) and lyndon_rotation(w)[0] == w
 
 
 def lyndon_words(max_len):

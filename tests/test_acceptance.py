@@ -13,6 +13,7 @@ from betahole.survivor import (LexSubshift, PointSpec, compile,
                                count_words_brute, dimension)
 from betahole import bifurcation as B
 from betahole import critical as C
+from betahole import numeric as N
 from betahole import words as W
 
 E = EpSequence.parse
@@ -131,8 +132,8 @@ def test_criterion_07_interval_structure():
             ok &= B.nesting_relation(farey[i], farey[j]) == "disjoint"
     for rec in farey:
         d = B.doubling_interval(W.reflect(rec.generator))
-        ok &= abs(B.pi2_fraction(rec.alpha_L) - (1 - d.q_R)) < 1e-9
-        ok &= abs(B.pi2_fraction(rec.alpha_R) - (1 - d.q_L)) < 1e-9
+        ok &= abs(N.value_at(rec.alpha_L, 2) - (1 - d.q_R)) < 1e-9
+        ok &= abs(N.value_at(rec.alpha_R, 2) - (1 - d.q_L)) < 1e-9
     report(7, ok, "%d basic intervals nested-or-disjoint; %d Farey "
                   "intervals disjoint with exact endpoint identities"
            % (len(recs), len(farey)))

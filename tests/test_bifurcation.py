@@ -10,6 +10,7 @@ from betahole.errors import (CertificateFailed, NotFarey,
 from betahole.sequences import EpSequence
 from betahole.numeric import BetaSpec
 from betahole import bifurcation as B
+from betahole import numeric as N
 from betahole import words as W
 
 E = EpSequence.parse
@@ -237,8 +238,8 @@ def test_phi_endpoint_identities_up_to_8():
     for rec in B.atlas(8, kind="farey"):
         w = W.reflect(rec.generator)
         d = B.doubling_interval(w)
-        assert B.pi2_fraction(rec.alpha_L) == 1 - d.q_R
-        assert B.pi2_fraction(rec.alpha_R) == 1 - d.q_L
+        assert N.value_at(rec.alpha_L, 2) == 1 - d.q_R
+        assert N.value_at(rec.alpha_R, 2) == 1 - d.q_L
 
 
 def test_in_E_plus_is_membership_in_own_subshift():
@@ -248,8 +249,3 @@ def test_in_E_plus_is_membership_in_own_subshift():
         t = E(text)
         assert B.in_E_plus(t, trib) == membership(
             t, LexSubshift(t, trib))
-
-
-def test_zero_run_flag():
-    assert B.zero_run_flag(BetaSpec.parse("@(10)")) == 1
-    assert B.zero_run_flag(BetaSpec.parse("2")) == 0

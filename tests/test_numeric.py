@@ -13,6 +13,7 @@ from mpmath.libmp import to_rational
 
 from betahole.errors import NotInQ, OutOfRange
 from betahole.sequences import EpSequence, is_in_Q, lex_compare_ep, ONES
+from betahole import bifurcation as B
 from betahole import numeric as N
 from betahole.numeric import BetaSpec, Interval
 
@@ -170,11 +171,40 @@ def test_greedy_digits():
     assert not cert and d == "0"
 
 
+def test_greedy_digits_run_past_a_closed_orbit():
+    """The orbits of 1/10 and 1/3 under doubling close after a few steps;
+    all n digits still come back, digit i being floor(2^(i+1) x) mod 2."""
+    for x in (Fraction(1, 10), Fraction(1, 3)):
+        for n in (1, 5, 40, 97):
+            d, cert = N.greedy_digits(Interval(x), Interval(2), n)
+            assert cert and d == "".join(
+                str(int(x * 2 ** (i + 1)) % 2) for i in range(n)), (x, n)
+
+
+def test_greedy_digits_rejects_x_outside_0_1():
+    for x in ("1.5", "-0.2", "1"):
+        with pytest.raises(OutOfRange, match=r"greedy expansion needs x "
+                                             r"in \[0,1\)"):
+            N.greedy_digits(Interval(x), Interval("1.7"), 8)
+    with pytest.raises(OutOfRange):
+        N.greedy_digits(Interval("0.9", "1"), Interval("1.7"), 8)
+    assert N.greedy_digits(Interval(0), Interval("1.7"), 4) == ("0000", True)
+
+
 def test_quasi_greedy_of_one():
     d, cert = N.quasi_greedy_digits(Interval(1), Interval(2), 10)
     assert d == "1" * 10 and cert
     d, cert = N.quasi_greedy_digits(Interval(1), Interval("1.7"), 12)
     assert cert and d[:2] == "11"
+
+
+def test_quasi_greedy_digits_rejects_x_outside_0_1():
+    for x in ("0", "-0.2", "1.5"):
+        with pytest.raises(OutOfRange, match=r"quasi-greedy expansion needs "
+                                             r"x in \(0,1\]"):
+            N.quasi_greedy_digits(Interval(x), Interval("1.7"), 8)
+    with pytest.raises(OutOfRange):
+        N.quasi_greedy_digits(Interval(0, "0.1"), Interval("1.7"), 8)
 
 
 def test_project_closed_form():
@@ -189,9 +219,50 @@ def test_project_closed_form():
     assert v.a < 1 < v.b and v.b - v.a < Fraction(1, 2 ** 90)
 
 
-def test_project_word_vs_fraction():
-    v = N.project_word("101", Interval(2))
+def test_project_of_finite_word():
+    v = N.project(EpSequence("101", "0"), Interval(2))
     assert v.a == v.b == Fraction(5, 8)
+
+
+def random_sequence(rng, max_pre, max_per):
+    pre = "".join(rng.choice("01") for _ in range(rng.randint(0, max_pre)))
+    per = "".join(rng.choice("01")
+                  for _ in range(rng.randint(1, max_per)))
+    return EpSequence(pre, per)
+
+
+def test_project_is_exact_at_both_ends_of_the_base():
+    """project(s, beta) == [pi_b(s), pi_a(s)] for beta = [a, b], exactly,
+    at decimal, symbolic and atlas-record bases and at 2."""
+    rng = random.Random(21)
+    bases = [Interval(2), Interval("1.001"), Interval("1.999")]
+    bases += [Interval(1 + Fraction(rng.randrange(1, 1000), 1000))
+              for _ in range(8)]
+    bases += [N.beta_from_alpha(EpSequence.parse(t))
+              for t in ("(10)", "(110)", "1(10)", "(1110)")]
+    bases += [rec.beta_R.value for rec in B.atlas(6)[::3]]
+    for beta in bases:
+        for _ in range(12):
+            s = random_sequence(rng, 10, 10)
+            v = N.project(s, beta)
+            assert (v.a, v.b) == (pi_exact(s, beta.b),
+                                  pi_exact(s, beta.a)), (s, beta)
+
+
+def test_value_at_2_is_the_binary_closed_form():
+    """value_at(s, 2) against the binary value pre.per^inf on every
+    sequence with |pre|, |per| <= 6."""
+    def binary(s):
+        k, p = len(s.pre), len(s.per)
+        head = Fraction(int(s.pre, 2) if s.pre else 0, 2 ** k)
+        return head + Fraction(int(s.per, 2), (2 ** p - 1) * 2 ** k)
+
+    for k in range(7):
+        for p in range(1, 7):
+            for pre in product("01", repeat=k):
+                for per in product("01", repeat=p):
+                    s = EpSequence("".join(pre), "".join(per))
+                    assert N.value_at(s, 2) == binary(s), s
 
 
 def test_betaspec_parsing():
