@@ -189,8 +189,6 @@ def doubling_interval(w):
 def phi(beta, horizon=N.DEFAULT_HORIZON):
     """pi_2(alpha(beta)): exact Fraction when alpha is known symbolically,
     else a certified interval bracket."""
-    if beta.symbolic:
-        return N.value_at(beta.alpha, 2)
     seq = beta.alpha_sequence(horizon)
     if seq is not None:
         return N.value_at(seq, 2)

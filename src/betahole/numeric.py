@@ -12,7 +12,6 @@ undecided.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import NotInQ, OutOfRange
 from .sequences import EpSequence
@@ -118,7 +117,7 @@ class Interval:
 
     def log2(self):
         """Enclosure of log2 over the interval, for 1 <= a <= b <= 2."""
-        return Interval._ends(*_log2_cached(self.a, self.b))
+        return Interval._ends(*_log2(self.a, self.b))
 
     def __repr__(self):
         return "Interval(%s, %s)" % (self.a, self.b)
@@ -150,14 +149,14 @@ _HALF_LN2 = (_half_ln(Fraction(2), False), _half_ln(Fraction(2), True))
 
 
 def _log2(a, b):
-    """Fraction bracket (lo, hi) of log2 over [a, b], one series per end."""
+    """Fraction bracket (lo, hi) of log2 over [a, b], one series per end;
+    an end at 2 is exactly 1, where the series ends round away from it."""
     if not 1 <= a <= b <= 2:
         raise ValueError("log2 bracket needs 1 <= %s <= %s <= 2" % (a, b))
-    return (Fraction(_half_ln(a, False), _HALF_LN2[1]),
+    return (Fraction(1) if a == 2 else
+            Fraction(_half_ln(a, False), _HALF_LN2[1]),
+            Fraction(1) if b == 2 else
             Fraction(_half_ln(b, True), _HALF_LN2[0]))
-
-
-_log2_cached = lru_cache(maxsize=None)(_log2)
 
 
 def _next_float(f, up):
@@ -305,7 +304,6 @@ def project(seq, beta):
     return Interval(value_at(seq, beta.b), value_at(seq, beta.a))
 
 
-@lru_cache(maxsize=None)
 def beta_from_alpha(alpha):
     """Base beta in (1,2] whose quasi-greedy expansion of 1 is alpha.
 
@@ -362,6 +360,7 @@ class BetaSpec:
                 raise OutOfRange("base must lie in (1, 2]")
             self.alpha = None
         self._alphas = {}
+        self._log2_value = None
 
     @classmethod
     def parse(cls, text):
@@ -389,6 +388,12 @@ class BetaSpec:
         x = self.value.a
         v = _horner(_sign_polynomial(alpha), x.numerator, x.denominator)
         return (v < 0) - (v > 0)
+
+    def log2(self):
+        """self.value.log2(), evaluated once."""
+        if self._log2_value is None:
+            self._log2_value = self.value.log2()
+        return self._log2_value
 
     def _alpha(self, n):
         """alpha_of_beta(self.value, n), expanded once per n."""

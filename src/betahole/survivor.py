@@ -294,12 +294,8 @@ def entropy(shift):
             lo, hi = _scc_spectral_radius(auto, comp)
         lam_lo = max(lam_lo, lo)
         lam_hi = max(lam_hi, hi)
-    # uncached, as lambda differs on every call; log2 2 = 1 exactly, where
-    # the series ends round away from it
     h_lo, h_hi = N._log2(lam_lo, lam_hi)
-    return EntropyBracket(1.0 if lam_lo == 2 else float_down(h_lo),
-                          1.0 if lam_hi == 2 else float_up(h_hi),
-                          "automaton_exact")
+    return EntropyBracket(float_down(h_lo), float_up(h_hi), "automaton_exact")
 
 
 def membership(x, shift):
@@ -384,7 +380,7 @@ def dimension(beta, t, horizon=N.DEFAULT_HORIZON):
     inner = outer if exact else entropy(LexSubshift(lo_in, up_in))
     h_lo, h_hi = inner.lower_bound, outer.upper_bound
     method = "automaton_exact" if exact else "automaton_outer_inner"
-    lb = beta.value.log2()
+    lb = beta.log2()
     dim_lo = min(max(float_down(Fraction(h_lo) / lb.b), 0.0), 1.0)
     dim_hi = min(max(float_up(Fraction(h_hi) / lb.a), 0.0), 1.0)
     if dim_hi < dim_lo:

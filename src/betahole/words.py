@@ -5,7 +5,6 @@ everywhere is the one induced by padding with zeros: u comes before v
 exactly when the infinite sequence u000... comes before v000...
 """
 
-from functools import lru_cache
 from math import gcd
 
 from .errors import (
@@ -122,7 +121,6 @@ def max_rotation(w):
     return max(rotations(w))
 
 
-@lru_cache(maxsize=None)
 def farey_level(n):
     """The n-th level of the Farey recursion as an ordered tuple.
 
@@ -134,15 +132,13 @@ def farey_level(n):
     if n > MAX_FAREY_LEVEL:
         raise LevelTooLarge(
             "level %d exceeds maximum %d" % (n, MAX_FAREY_LEVEL))
-    if n == 0:
-        return ("0", "1")
-    prev = farey_level(n - 1)
-    out = []
-    for i, w in enumerate(prev):
-        out.append(w)
-        if i + 1 < len(prev):
-            out.append(w + prev[i + 1])
-    return tuple(out)
+    level = ["0", "1"]
+    for _ in range(n):
+        out = [level[0]]
+        for u, v in zip(level, level[1:]):
+            out += (u + v, v)
+        level = out
+    return tuple(level)
 
 
 def christoffel(p, q):

@@ -193,6 +193,17 @@ def test_staircase_bounds_are_rounded_outward():
             assert row[3] >= Fraction(rep.dim_upper), (beta_s, i)
 
 
+def test_staircase_at_base_two_prints_dimension_equal_to_entropy():
+    # log2 2 = 1 exactly, so dim = h / log2 beta is h on every row
+    for beta_s in ["2", "@(1)"]:
+        r = run("staircase", "--beta", beta_s, "--t-max", "0.5",
+                "--samples", "16")
+        assert r.exit_code == 0
+        for line in r.output.strip().splitlines()[1:]:
+            t, h_lo, h_hi, dim_lo, dim_hi, _ = line.split(",")
+            assert (dim_lo, dim_hi) == (h_lo, h_hi), (beta_s, t)
+
+
 def test_isolated_zset_classify():
     r = run("isolated", "--word", "01", "--beta", "1.7")
     assert json.loads(r.output)["classification"] == "isolated"

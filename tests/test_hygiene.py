@@ -156,3 +156,24 @@ def test_no_unreferenced_private_functions():
                         and n.name.startswith("_")
                         and not n.name.startswith("__")]
     assert defined and [name for name in defined if name not in used] == []
+
+
+def test_no_process_wide_caches_in_package():
+    # a memo lives on the object it describes (BetaSpec keeps alpha(beta)
+    # and log2 beta), so nothing a request computes outlives it
+    banned = {"lru_cache", "cache"}
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr] if isinstance(node.value, ast.Name) \
+                    and node.value.id == "functools" else []
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module == "functools":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in names if name in banned]
+    assert found == []

@@ -278,6 +278,20 @@ def test_dimension_expands_alpha_once_per_base(monkeypatch):
     assert calls == [N.DEFAULT_HORIZON]
 
 
+def test_dimension_evaluates_log2_beta_once_per_base(monkeypatch):
+    calls, log2 = [], N.Interval.log2
+
+    def counted(self):
+        calls.append(self)
+        return log2(self)
+
+    monkeypatch.setattr(N.Interval, "log2", counted)
+    beta = BetaSpec.parse("1.457")
+    for k in range(64):
+        dimension(beta, PointSpec(value=Fraction(3 * k, 630)))
+    assert len(calls) == 1
+
+
 def test_perron_certificate_encloses_mpmath_eigenvalue(monkeypatch):
     """The exact Collatz-Wielandt bracket of every cyclic component with at
     most 40 states, from 8-sample staircase sweeps, holds the spectral

@@ -132,6 +132,27 @@ def test_farey_levels():
         W.farey_level(99)
 
 
+def farey_level_recursive(n):
+    """The level recursion as first written: level n - 1 with the
+    concatenation of each neighbouring pair put between them."""
+    if n == 0:
+        return ("0", "1")
+    prev = farey_level_recursive(n - 1)
+    out = []
+    for i, w in enumerate(prev):
+        out.append(w)
+        if i + 1 < len(prev):
+            out.append(w + prev[i + 1])
+    return tuple(out)
+
+
+def test_farey_level_matches_the_recursion_up_to_12():
+    for n in range(13):
+        assert W.farey_level(n) == farey_level_recursive(n), n
+    with pytest.raises(ValueError):
+        W.farey_level(-1)
+
+
 def test_farey_level_ordered_and_nested():
     prev = None
     for n in range(0, 8):
