@@ -187,12 +187,13 @@ def doubling_interval(w):
 
 
 def phi(beta, horizon=N.DEFAULT_HORIZON):
-    """pi_2(alpha(beta)): exact Fraction when alpha is known symbolically,
-    else a certified interval bracket."""
-    seq = beta.alpha_sequence(horizon)
+    """pi_2(alpha(beta)): exact Fraction when alpha(beta) is eventually
+    periodic, else the Interval between its horizon-digit prefix followed
+    by 0^inf and by 1^inf."""
+    seq = beta.alpha_sequence()
     if seq is not None:
         return N.value_at(seq, 2)
-    digits, _ = beta.alpha_prefix(horizon)
+    digits = beta.alpha_prefix(horizon)
     return Interval(N.value_at(EpSequence(digits, "0"), 2),
                     N.value_at(EpSequence(digits, "1"), 2))
 

@@ -78,7 +78,7 @@ def expand(x, beta_s, n, mode):
     if mode == "greedy":
         digits, cert = N.greedy_digits(xv, beta.value, n)
     elif xv.a == xv.b == 1:
-        digits, cert = beta.alpha_prefix(n)
+        digits, cert = beta.alpha_prefix(n), True
     else:
         digits, cert = N.quasi_greedy_digits(xv, beta.value, n)
     click.echo(digits)
@@ -93,12 +93,11 @@ def expand(x, beta_s, n, mode):
 def alpha(beta_s, n):
     """Expansion of 1 in base beta; reports a closed form if one is found."""
     beta = BetaSpec.parse(beta_s)
-    seq = beta.alpha_sequence(n)
+    seq = beta.alpha_sequence()
     if seq is not None:
         click.echo("%s = %s..." % (seq, seq.prefix(min(n, 24))))
     else:
-        digits, _ = beta.alpha_prefix(n)
-        click.echo(digits)
+        click.echo(beta.alpha_prefix(n))
 
 
 @main.command("solve-beta")
@@ -177,16 +176,17 @@ def atlas(max_len, kind, digits, nesting):
               type=_POSITIVE)
 def staircase(beta_s, t_min, t_max, samples, digits, horizon):
     """CSV sweep of entropy/dimension brackets over a grid of hole sizes;
-    each bracket is rounded outward at --digits."""
+    each hole is the grid point as printed at --digits, and each bracket
+    is rounded outward at --digits."""
     if not (0 <= t_min < t_max <= 1):
         raise click.UsageError("need 0 <= t-min < t-max <= 1")
     beta = BetaSpec.parse(beta_s)
     click.echo("t,h_lower,h_upper,dim_lower,dim_upper,method")
     for i in range(samples):
-        t = t_min + (t_max - t_min) * i / (samples - 1)
+        t = _fmt(t_min + (t_max - t_min) * i / (samples - 1), digits)
         rep = dimension(beta, PointSpec(value=t), horizon=horizon)
         click.echo(",".join([
-            _fmt(t, digits),
+            t,
             N.fixed(rep.h_lower, digits, False),
             N.fixed(rep.h_upper, digits, True),
             N.fixed(rep.dim_lower, digits, False),

@@ -49,10 +49,6 @@ class StateCapExceeded(BetaHoleError):
     """Automaton compilation would need more states than the configured cap."""
 
 
-class TooLarge(BetaHoleError):
-    """Brute-force word counting was requested for an infeasible length."""
-
-
 class CertificateFailed(BetaHoleError):
     """A certificate that a result relies on did not check out."""
 

@@ -359,7 +359,7 @@ class BetaSpec:
             if not (self.value.a > 1 and self.value.b <= 2):
                 raise OutOfRange("base must lie in (1, 2]")
             self.alpha = None
-        self._alphas = {}
+        self._digits = ""
         self._log2_value = None
 
     @classmethod
@@ -395,24 +395,23 @@ class BetaSpec:
             self._log2_value = self.value.log2()
         return self._log2_value
 
-    def _alpha(self, n):
-        """alpha_of_beta(self.value, n), expanded once per n."""
-        if n not in self._alphas:
-            self._alphas[n] = alpha_of_beta(self.value, n)
-        return self._alphas[n]
-
     def alpha_prefix(self, n):
-        """First n digits of alpha(beta), with a certification flag."""
+        """First n digits of alpha(beta).  The orbit of 1 at a decimal base
+        is an exact point, so every digit is decided; the digits are
+        expanded once and again only when a longer prefix is asked for."""
         if self.symbolic:
-            return self.alpha.prefix(n), True
-        digits, certified, _ = self._alpha(n)
-        return digits, certified and len(digits) == n
+            return self.alpha.prefix(n)
+        if len(self._digits) < n:
+            self._digits = alpha_of_beta(self.value, n)[0]
+        return self._digits[:n]
 
-    def alpha_sequence(self, n=DEFAULT_HORIZON):
-        """An EpSequence for alpha(beta) if one can be certified, else None."""
+    def alpha_sequence(self):
+        """alpha(beta) as an EpSequence, or None where it is not eventually
+        periodic: at every decimal base but 2, whose alpha is 1^inf
+        (see alpha_of_beta)."""
         if self.symbolic:
             return self.alpha
-        return self._alpha(n)[2]
+        return S.ONES if self.value.a == 2 else None
 
     def __repr__(self):
         if self.symbolic:

@@ -50,11 +50,6 @@ class EpSequence:
         r = (n - k) % len(self.per)
         return EpSequence("", self.per[r:] + self.per[:r])
 
-    def shifts(self):
-        """All distinct shifted sequences sigma^n, n >= 0: the first
-        `window` of them, which differ because the form is canonical."""
-        return [self.shift(n) for n in range(self.window)]
-
     def is_zero_tail(self):
         return self.per == "0"
 

@@ -12,9 +12,9 @@ wrong side kills the path.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product
+from itertools import compress
 
-from .errors import CertificateFailed, StateCapExceeded, TooLarge
+from .errors import CertificateFailed, StateCapExceeded
 from .sequences import EpSequence, extreme_shifts, lex_compare_ep
 from . import numeric as N
 from .numeric import Interval, float_down, float_up
@@ -110,6 +110,8 @@ class SubshiftAutomaton:
         self.start = 0
 
     def __len__(self):
+        """Number of states; the benchmark's tracer reads it as the state
+        count of survivor.compile."""
         return len(self.transitions)
 
     def count_paths(self, n):
@@ -179,28 +181,6 @@ class SubshiftAutomaton:
 
 def compile(shift):
     return SubshiftAutomaton(shift)
-
-
-def count_words_brute(shift, n):
-    """Direct sweep over all 2^n words with suffix-window prefix checks."""
-    if n > 30:
-        raise TooLarge("brute-force counting capped at n=30")
-    L, U = shift.lower, shift.upper
-    lo_pref = [L.prefix(m) for m in range(n + 1)]
-    up_pref = [U.prefix(m) for m in range(n + 1)]
-    count = 0
-    for bits in product("01", repeat=n):
-        w = "".join(bits)
-        ok = True
-        for k in range(n):
-            suf = w[k:]
-            m = n - k
-            if suf < lo_pref[m] or suf > up_pref[m]:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
 
 
 def count_words(shift, n):
@@ -318,13 +298,6 @@ class PointSpec:
             self.value = Interval(value)
             self.seq = None
 
-    @classmethod
-    def parse(cls, text):
-        text = text.strip()
-        if text.startswith("@"):
-            return cls(seq=EpSequence.parse(text[1:]))
-        return cls(value=text)
-
     def expansion(self, beta, horizon=N.DEFAULT_HORIZON):
         """(exact EpSequence or None, certified digit prefix)."""
         if self.seq is not None:
@@ -344,9 +317,9 @@ def greedy_sequence(x, beta, horizon=N.DEFAULT_HORIZON):
 
 
 def alpha_bounds(beta, horizon=N.DEFAULT_HORIZON):
-    """(exact alpha EpSequence or None, certified prefix) for a BetaSpec;
-    the expansion of 1 is memoised on the BetaSpec, once per horizon."""
-    return beta.alpha_sequence(horizon), beta.alpha_prefix(horizon)[0]
+    """(exact alpha EpSequence or None, `horizon`-digit prefix) for a
+    BetaSpec, which keeps the digits of its expansion of 1."""
+    return beta.alpha_sequence(), beta.alpha_prefix(horizon)
 
 
 @dataclass

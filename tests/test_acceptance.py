@@ -9,12 +9,12 @@ from itertools import product
 
 from betahole.sequences import EpSequence, lex_compare_ep
 from betahole.numeric import BetaSpec, Interval, beta_from_alpha, project
-from betahole.survivor import (LexSubshift, PointSpec, compile,
-                               count_words_brute, dimension)
+from betahole.survivor import LexSubshift, PointSpec, compile, dimension
 from betahole import bifurcation as B
 from betahole import critical as C
 from betahole import numeric as N
 from betahole import words as W
+from test_survivor import count_words_brute
 
 E = EpSequence.parse
 

@@ -96,13 +96,13 @@ def test_classify_isolated_consistency_with_approximants():
     from betahole.sequences import lex_compare_ep
     beta = BetaSpec.parse("1.99")
     assert B.classify_isolated("01", beta) == "not_isolated"
-    digits, _ = beta.alpha_prefix(48)
+    digits = beta.alpha_prefix(48)
     alpha_lo = EpSequence(digits, "0")
     # t_N = ((s)^N s_1...s_{m-j}+)^inf accumulate at (01)^inf from above
     prev = None
     for n in range(1, 6):
         t = EpSequence("", "01" * n + "1")
-        for s in t.shifts():
+        for s in (t.shift(k) for k in range(t.window)):
             assert lex_compare_ep(s, alpha_lo) < 0   # admissible at beta
         if prev is not None:
             assert lex_compare_ep(t, prev) < 0       # decreasing to (01)^inf
@@ -231,6 +231,17 @@ def test_phi():
     assert B.phi(BetaSpec.parse("2")) == 1
     assert B.phi(BetaSpec.parse("@(10)")) == Fraction(2, 3)
     assert B.phi(BetaSpec.parse("@(110)")) == Fraction(6, 7)
+
+
+def test_phi_at_a_decimal_base_brackets_by_the_alpha_prefix():
+    for text in ["1.7", "1.001", "1.999", "1.618033988749895"]:
+        beta = BetaSpec.parse(text)
+        prefix = beta.alpha_prefix(N.DEFAULT_HORIZON)
+        v = B.phi(beta)
+        assert v.a == N.value_at(EpSequence(prefix, "0"), 2), text
+        assert v.b == N.value_at(EpSequence(prefix, "1"), 2), text
+        deep = B.phi(beta, 300)
+        assert v.a <= deep.a <= deep.b <= v.b, text
 
 
 def test_phi_endpoint_identities_up_to_8():

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from betahole import cli
 from betahole.cli import main
-from betahole.numeric import BetaSpec
+from betahole import numeric as N
+from betahole.numeric import BetaSpec, Interval
 from betahole.sequences import EpSequence
-from betahole.survivor import PointSpec, dimension
+from betahole.survivor import DimensionReport, PointSpec, dimension
 
 
 def run(*args):
@@ -27,6 +29,17 @@ def test_expand_quasi_symbolic():
             "--mode", "quasi", "--n", "9")
     assert r.exit_code == 0
     assert r.output.strip() == "110110110"
+
+
+def test_expand_quasi_off_one_matches_the_library():
+    for x, beta_s in [("0.5", "2"), ("0.3", "1.7"), ("0.99", "@(110)"),
+                      ("0.625", "1.6")]:
+        r = run("expand", "--x", x, "--beta", beta_s, "--mode", "quasi",
+                "--n", "40")
+        assert r.exit_code == 0, (x, beta_s)
+        digits, _ = N.quasi_greedy_digits(
+            Interval(x), BetaSpec.parse(beta_s).value, 40)
+        assert r.output == digits + "\n", (x, beta_s)
 
 
 def test_expand_out_of_range_exits_1():
@@ -105,6 +118,10 @@ def test_farey_and_factorize():
     assert r.output.strip() == "0,001,01,011,1"
     r = run("farey", "--check", "01011")
     assert r.output.strip() == "true"
+    for args in [(), ("--level", "2", "--check", "01")]:
+        r = run("farey", *args)
+        assert r.exit_code == 2 and r.stdout == "", args
+        assert "give exactly one of --level / --check" in r.stderr, args
     r = run("factorize", "--word", "01011")
     assert r.output.split() == ["01", "011"]
     r = run("factorize", "--word", "0011")
@@ -135,6 +152,34 @@ def test_staircase_deterministic_and_sane():
     assert abs(float(first[3]) - 1) < 1e-6   # dim at t=0
     r = run("staircase", "--beta", "2", "--t-max", "0.5", "--samples", "1")
     assert r.exit_code == 2
+    for t_min in ("0.3", "0.4"):
+        r = run("staircase", "--beta", "2", "--t-min", t_min,
+                "--t-max", "0.3", "--samples", "4")
+        assert r.exit_code == 2 and r.stdout == "", t_min
+        assert "need 0 <= t-min < t-max <= 1" in r.stderr, t_min
+
+
+def test_staircase_brackets_the_hole_it_prints(monkeypatch):
+    # each row's t column is the hole its bracket is for, exactly
+    holes = []
+
+    def record(beta, t, horizon):
+        holes.append(t.value)
+        return DimensionReport(0.0, 0.0, 0.0, 0.0, "automaton_exact")
+
+    monkeypatch.setattr(cli, "dimension", record)
+    for args in [("--t-max", "0.3", "--samples", "64"),
+                 ("--t-min", "0.05", "--t-max", "0.27", "--samples", "64",
+                  "--digits", "6"),
+                 ("--t-max", "1", "--samples", "7", "--digits", "0")]:
+        holes.clear()
+        r = run("staircase", "--beta", "1.457", *args)
+        assert r.exit_code == 0, args
+        labels = [line.split(",")[0]
+                  for line in r.output.strip().splitlines()[1:]]
+        assert len(labels) == len(holes) > 0, args
+        for label, hole in zip(labels, holes):
+            assert (hole.a, hole.b) == (Fraction(label),) * 2, (args, label)
 
 
 def test_tau_json():

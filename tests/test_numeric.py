@@ -151,7 +151,7 @@ def test_beta_from_alpha_inverts_alpha_of_beta():
         assert digits == a.prefix(len(digits))
         # the symbolic spec knows the full expansion
         spec = BetaSpec(alpha=a)
-        assert spec.alpha_prefix(30) == (a.prefix(30), True)
+        assert spec.alpha_prefix(30) == a.prefix(30)
 
 
 def test_greedy_digits():
@@ -276,8 +276,27 @@ def test_betaspec_parsing():
 
 def test_alpha_prefix_numeric():
     b = BetaSpec.parse("1.7")
-    digits, ok = b.alpha_prefix(20)
-    assert ok and digits.startswith("11000")
+    digits = b.alpha_prefix(20)
+    assert len(digits) == 20 and digits.startswith("11000")
+
+
+def test_alpha_of_a_rational_base_is_decided_and_closes_only_at_2():
+    """The orbit of 1 at a rational base is an exact point, so every digit
+    of alpha(beta) is decided, and by Parry only 2 has an eventually
+    periodic alpha(beta); BetaSpec relies on both."""
+    rng = random.Random(23)
+    values = ["1.%03d" % k for k in rng.sample(range(1, 1000), 320)]
+    values += [1 + rng.random() for _ in range(100)]
+    values += ["2", 2.0, Fraction(3, 2)]
+    for value in values:
+        spec = BetaSpec(value=value)
+        # a shorter prefix after longer ones reads from the kept digits
+        for n in (7, 96, 1, 300):
+            digits, certified, _ = N.alpha_of_beta(Interval(value), n)
+            assert certified and len(digits) == n, (value, n)
+            assert spec.alpha_prefix(n) == digits, (value, n)
+        assert spec.alpha_sequence() == (ONES if Fraction(value) == 2
+                                         else None), value
 
 
 def test_alpha_sequence_detects_period():
@@ -288,7 +307,7 @@ def test_alpha_sequence_detects_period():
     assert b.alpha_sequence() is None
     # the decimal sits just above the root, so the expansion starts 11
     # and then falls near 0
-    digits, _ = b.alpha_prefix(40)
+    digits = b.alpha_prefix(40)
     assert digits.startswith("1100000000")
 
 

@@ -18,6 +18,12 @@ pre_st = st.text(alphabet="01", max_size=6)
 per_st = st.text(alphabet="01", min_size=1, max_size=6)
 
 
+def shifts(x):
+    """All distinct shifted sequences sigma^n, n >= 0: the first `window`
+    of them, which differ because the form is canonical."""
+    return [x.shift(n) for n in range(x.window)]
+
+
 def test_canonical_form():
     # primitive period
     assert EpSequence("", "1010").per == "10"
@@ -126,11 +132,11 @@ def test_admissibility():
 
 def test_shifts_are_finite_and_complete():
     s = EpSequence("01", "110")
-    shifts = s.shifts()
-    assert len(shifts) == len(set(shifts))
-    assert s in shifts
+    every = shifts(s)
+    assert len(every) == len(set(every))
+    assert s in every
     for n in range(20):
-        assert s.shift(n) in shifts
+        assert s.shift(n) in every
 
 
 def words(lo, hi):
@@ -140,35 +146,34 @@ def words(lo, hi):
 
 
 def test_first_window_shifts_are_pairwise_distinct():
-    """shifts() keeps every one of the first `window` shifts: for a
-    canonical sequence no two of them coincide."""
+    """No two of the first `window` shifts of a canonical sequence
+    coincide, so shifts() lists each shift once."""
     for pre in words(0, 5):
         for per in words(1, 6):
             s = EpSequence(pre, per)
             firsts = [s.shift(n) for n in range(s.window)]
             assert len(set(firsts)) == s.window, (pre, per)
-            assert s.shifts() == firsts
 
 
 # the per-shift loops that extreme_shifts replaced, kept as the reference
 def loop_is_in_Q(a):
     return not a.is_zero_tail() and \
-        all(lex_compare_ep(s, a) <= 0 for s in a.shifts())
+        all(lex_compare_ep(s, a) <= 0 for s in shifts(a))
 
 
 def loop_is_admissible(x, alpha):
-    return all(lex_compare_ep(s, alpha) < 0 for s in x.shifts())
+    return all(lex_compare_ep(s, alpha) < 0 for s in shifts(x))
 
 
 def loop_in_E_plus(t, alpha):
-    for s in t.shifts():
+    for s in shifts(t):
         if lex_compare_ep(s, t) < 0 or lex_compare_ep(s, alpha) >= 0:
             return False
     return True
 
 
 def loop_membership(x, shift):
-    for s in x.shifts():
+    for s in shifts(x):
         c = lex_compare_ep(s, shift.lower)
         if c < 0 or (shift.strict_lower and c == 0):
             return False
@@ -187,9 +192,9 @@ def test_shift_extremes_match_the_per_shift_loops():
     in_q = [a for a in pool if loop_is_in_Q(a)]
     rng = random.Random(17)
     for x in pool:
-        shifts = x.shifts()
-        least, greatest = shifts[0], shifts[0]
-        for s in shifts:
+        every = shifts(x)
+        least, greatest = every[0], every[0]
+        for s in every:
             if lex_compare_ep(s, least) < 0:
                 least = s
             if lex_compare_ep(s, greatest) > 0:

@@ -12,8 +12,7 @@ from mpmath.libmp import to_rational
 
 from betahole.sequences import EpSequence, is_in_Q, lex_compare_ep
 from betahole.survivor import (LexSubshift, PointSpec, compile, count_words,
-                               count_words_brute, dimension, entropy,
-                               membership, reduce_upper)
+                               dimension, entropy, membership, reduce_upper)
 from betahole.numeric import BetaSpec, beta_from_alpha
 from betahole import numeric as N
 from betahole import survivor as S
@@ -22,6 +21,27 @@ E = EpSequence.parse
 
 FULL = LexSubshift(E("(0)"), E("(1)"))
 GOLDEN_MEAN = LexSubshift(E("(0)"), E("(10)"))
+
+
+def count_words_brute(shift, n):
+    """Direct sweep over all 2^n words with suffix-window prefix checks:
+    the reference for the automaton's path counts."""
+    L, U = shift.lower, shift.upper
+    lo_pref = [L.prefix(m) for m in range(n + 1)]
+    up_pref = [U.prefix(m) for m in range(n + 1)]
+    count = 0
+    for bits in product("01", repeat=n):
+        w = "".join(bits)
+        ok = True
+        for k in range(n):
+            suf = w[k:]
+            m = n - k
+            if suf < lo_pref[m] or suf > up_pref[m]:
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count
 
 
 def test_full_shift():
@@ -126,6 +146,8 @@ def test_automaton_matches_brute_force():
     for _ in range(20):
         sh = random_subshift(rng)
         auto = compile(sh)
+        # the state count that bench/tracing.py reads through len()
+        assert len(auto) == len(auto.transitions) > 0, sh
         for n in range(1, 13):
             assert auto.count_paths(n) == count_words_brute(sh, n), sh
 
