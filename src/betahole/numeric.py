@@ -2,12 +2,12 @@
 
 Every value is exact: a decimal base or hole is a rational number, and a
 base named by its kneading sequence is bracketed between two dyadic
-numbers by an exact integer root solve.  `Interval` carries both kinds as
-closed intervals with `Fraction` ends, so a digit is either certified or
-reported as undecided, and no floating-point precision is involved
-anywhere.  A base is placed against the base of a kneading sequence by
-`BetaSpec.compare`, one exact sign test that never leaves a comparison
-undecided.
+numbers by integer Newton steps that two exact signs certify, with
+bisection as the fallback.  `Interval` carries both kinds as closed
+intervals with `Fraction` ends, so a digit is either certified or reported
+as undecided, with no floating-point precision anywhere.  A base is placed
+against the base of a kneading sequence by `BetaSpec.compare`, one exact
+sign test that never leaves a comparison undecided.
 """
 
 import math
@@ -304,27 +304,44 @@ def project(seq, beta):
     return Interval(value_at(seq, beta.b), value_at(seq, beta.a))
 
 
-def beta_from_alpha(alpha):
-    """Base beta in (1,2] whose quasi-greedy expansion of 1 is alpha.
+def _bisect(f, lo, s, t):
+    """Bisect lo/2^s < beta <= (lo+1)/2^s down to width 2^-t; returns lo."""
+    for u in range(s + 1, t + 1):
+        mid = 2 * lo + 1
+        # pi_x(alpha) still above 1 at x = mid/2^u: x < beta
+        lo = mid if _horner(f, mid, 1 << u) > 0 else mid - 1
+    return lo
 
-    Bisection over dyadic points: step t halves the bracket
-    [lo, lo + 1] / 2^(t-1) at m/2^t, m = 2 lo + 1, by the exact sign of
-    the integer F(m/2^t) * 2^(t deg F) (see _sign_polynomial and _horner),
-    so the integers grow with the bracket's precision.  Returns the
-    Interval of width exactly 2^-ROOT_BITS that contains the root.
-    """
+
+def _newton(f, df, m, s, b):
+    """2^b (x - F(x)/F'(x)) rounded down at x = m/2^s, or 0 if F'(x) = 0."""
+    d = _horner(df, m, 1 << s)
+    return d and ((m * d - _horner(f, m, 1 << s)) << (b - s)) // d
+
+
+def beta_from_alpha(alpha):
+    """Base beta in (1,2] whose quasi-greedy expansion of 1 is alpha: the
+    Interval [lo, lo + 1] / 2^ROOT_BITS, lo/2^ROOT_BITS < beta, for the root
+    beta of F (see _sign_polynomial).  Bisection to s bits seeds integer
+    Newton steps whose precision doubles up to ROOT_BITS + 8 bits, plus one
+    there.  Signs of F at g, the nearest multiple of 2^-ROOT_BITS, and next
+    to g on beta's side certify lo; else (F' = 0 gives m = 0) bisect on."""
     if not S.is_in_Q(alpha):
         raise NotInQ("%s is not a quasi-greedy expansion of 1" % alpha)
     if alpha == S.ONES:
         return Interval(2)
     f = _sign_polynomial(alpha)
-    lo = 1
-    for t in range(1, ROOT_BITS + 1):
-        mid = 2 * lo + 1
-        # pi_x(alpha) still above 1 at x = mid/2^t: x < beta
-        lo = mid if _horner(f, mid, 1 << t) > 0 else mid - 1
-    return Interval(Fraction(lo, 1 << ROOT_BITS),
-                    Fraction(lo + 1, 1 << ROOT_BITS))
+    df = [i * c for i, c in enumerate(f)][1:]
+    s, top, one = 2 * len(f).bit_length() + 8, ROOT_BITS + 8, 1 << ROOT_BITS
+    seed = m = _bisect(f, 1, 0, s)
+    for i in range(((top - 1) // s).bit_length() + 1):
+        m = m and _newton(f, df, m, min(s << i, top), min(s << (i + 1), top))
+    g = (m + 128) >> 8
+    below = _horner(f, g, one) > 0
+    lo = g if below else g - 1
+    if lo < one or (_horner(f, g + 1 if below else g - 1, one) > 0) == below:
+        lo = _bisect(f, seed, s, ROOT_BITS)
+    return Interval(Fraction(lo, one), Fraction(lo + 1, one))
 
 
 def alpha_of_beta(beta, n=DEFAULT_HORIZON):
@@ -350,8 +367,6 @@ class BetaSpec:
 
     def __init__(self, value=None, alpha=None):
         if alpha is not None:
-            if not S.is_in_Q(alpha):
-                raise NotInQ("%s does not define a base" % alpha)
             self.alpha = alpha
             self.value = beta_from_alpha(alpha)
         else:

@@ -15,6 +15,8 @@ from betahole.errors import NotInQ, OutOfRange
 from betahole.sequences import EpSequence, is_in_Q, lex_compare_ep, ONES
 from betahole import bifurcation as B
 from betahole import numeric as N
+from betahole import sequences as S
+from betahole import words as W
 from betahole.numeric import BetaSpec, Interval
 
 GOLDEN = 1.618033988749895
@@ -96,6 +98,139 @@ def test_beta_from_alpha_exact_containment():
         lo, hi = b.a, b.b
         assert hi - lo == Fraction(1, 2 ** 100), a
         assert pi_exact(a, lo) > 1 > pi_exact(a, hi), a
+
+
+def bisected_beta(alpha):
+    """The reference root solve: ROOT_BITS exact bisection steps from
+    [1, 2], each halving the bracket by the sign of F at its midpoint."""
+    f = N._sign_polynomial(alpha)
+    lo = 1
+    for t in range(1, N.ROOT_BITS + 1):
+        mid = 2 * lo + 1
+        lo = mid if N._horner(f, mid, 1 << t) > 0 else mid - 1
+    return (Fraction(lo, 1 << N.ROOT_BITS),
+            Fraction(lo + 1, 1 << N.ROOT_BITS))
+
+
+def random_Q(n, seed):
+    """n distinct seeded sequences in Q other than 1^inf, with preperiod
+    at most 31 and period at most 60, by rejection."""
+    rng = random.Random(seed)
+    out = set()
+    while len(out) < n:
+        k, p = rng.randint(0, 31), rng.randint(1, 60)
+        ones = rng.choice((0.6, 0.75, 0.9))
+        w = "".join("1" if rng.random() < ones else "0" for _ in range(k + p))
+        a = EpSequence(w[:k], w[k:])
+        if a != ONES and is_in_Q(a):
+            out.add(a)
+    return sorted(out, key=str)
+
+
+def christoffel_alphas(q, slopes):
+    """alpha_L = (a)^inf and alpha_R = a+ (reversed a)^inf of the
+    generators a = reflect(c(q - m, q)) for m in slopes, coprime to q."""
+    out = []
+    for m in slopes:
+        a = W.reflect(W.christoffel(q - m, q))
+        out += [EpSequence("", a), EpSequence(W.plus(a), a[::-1])]
+    return out
+
+
+def test_beta_from_alpha_equals_bisection():
+    """The Newton-seeded solve returns exactly the bracket of plain
+    bisection, on every alpha the atlas, the benchmark's bases and the
+    deep tau descent solve, and on seeded random ones."""
+    farey_R = [r.alpha_R for r in B.atlas(10, "farey")]
+    atlas = [x for r in B.atlas(12, "all") for x in (r.alpha_L, r.alpha_R)]
+    cases = {"small_Q": sorted(set(small_Q()), key=str), "atlas": atlas,
+             "farey_R": farey_R, "random": random_Q(400, 24),
+             "christoffel": (christoffel_alphas(200, (1, 67, 199))
+                             + christoffel_alphas(640, (1, 213, 639)))}
+    assert [len(v) for v in cases.values()] == [708, 1490, 31, 400, 12]
+    for seqs in cases.values():
+        for a in seqs:
+            b = N.beta_from_alpha(a)
+            assert (b.a, b.b) == bisected_beta(a), a
+
+
+def recorded_fallbacks(monkeypatch):
+    """Patch N._bisect to record each call that finishes a solve from a
+    seed bracket (the seed itself is bisected from s = 0)."""
+    calls = []
+    bisect = N._bisect
+
+    def recording(f, lo, s, t):
+        if s > 0:
+            calls.append((s, t))
+        return bisect(f, lo, s, t)
+
+    monkeypatch.setattr(N, "_bisect", recording)
+    return calls
+
+
+def fallback_seqs():
+    return (sorted(set(small_Q()), key=str)[::25]
+            + christoffel_alphas(200, (1,)))
+
+
+def test_beta_from_alpha_falls_back_on_a_wrong_estimate(monkeypatch):
+    seqs = fallback_seqs()
+    want = [bisected_beta(a) for a in seqs]
+    calls = recorded_fallbacks(monkeypatch)
+    newton = N._newton
+    # every estimate lands 2^-20 above the Newton step
+    monkeypatch.setattr(N, "_newton", lambda f, df, m, s, b:
+                        newton(f, df, m, s, b) + (1 << b >> 20))
+    got = [N.beta_from_alpha(a) for a in seqs]
+    assert [(b.a, b.b) for b in got] == want
+    assert len(calls) == len(seqs)
+    assert all(t == N.ROOT_BITS for _, t in calls)
+
+
+def test_beta_from_alpha_falls_back_where_the_slope_vanishes(monkeypatch):
+    seqs = fallback_seqs()
+    want = [bisected_beta(a) for a in seqs]
+    calls = recorded_fallbacks(monkeypatch)
+    horner = N._horner
+    # F has leading coefficient -1 (see _sign_polynomial), F' has -deg F:
+    # every evaluation of F' reads 0
+    monkeypatch.setattr(N, "_horner", lambda f, p, q:
+                        horner(f, p, q) if f[-1] == -1 else 0)
+    got = [N.beta_from_alpha(a) for a in seqs]
+    assert [(b.a, b.b) for b in got] == want
+    assert len(calls) == len(seqs)
+
+
+def test_root_solve_takes_few_sign_evaluations(monkeypatch):
+    """Bisection alone evaluated F 100 times per solve of the atlas."""
+    alphas = [x for r in B.atlas(12, "all") for x in (r.alpha_L, r.alpha_R)]
+    calls = []
+    horner = N._horner
+
+    def counting(f, p, q):
+        calls.append(p)
+        return horner(f, p, q)
+
+    monkeypatch.setattr(N, "_horner", counting)
+    for a in alphas:
+        N.beta_from_alpha(a)
+    assert len(calls) <= 30 * len(alphas)
+
+
+def test_symbolic_base_checks_Q_once(monkeypatch):
+    calls = []
+    is_in_Q_ = S.is_in_Q
+
+    def counting(a):
+        calls.append(a)
+        return is_in_Q_(a)
+
+    monkeypatch.setattr(S, "is_in_Q", counting)
+    BetaSpec.parse("@1(10)")
+    assert len(calls) == 1
+    with pytest.raises(NotInQ, match="not a quasi-greedy expansion of 1"):
+        BetaSpec.parse("@(01)")
 
 
 def test_sign_polynomial_matches_projection():
