@@ -18,8 +18,7 @@ alpha = sys.argv[1] if len(sys.argv) > 1 else "(10)"
 samples = int(sys.argv[2]) if len(sys.argv) > 2 else 48
 
 beta = BetaSpec.parse("@" + alpha)
-lim = 1 - 1 / beta.value
-tmax = math.nextafter(float(lim.b), 1.0)
+tmax = math.nextafter(float(1 - 1 / beta.value.b), 1.0)
 
 print("base: beta with quasi-greedy expansion of 1 equal to %s^inf" % alpha)
 print("      beta ~ %.15f" % float(beta.value.a))
@@ -42,4 +41,4 @@ rep = tau_report(beta)
 print("\ncritical hole size (dimension first hits zero):")
 print("  regime: %s" % rep.regime)
 print("  tau in [%.15f, %.15f]" % (rep.tau_lower, rep.tau_upper))
-print("  fixed point 1 - 1/beta = %.15f" % float(lim.a))
+print("  fixed point 1 - 1/beta = %.15f" % float(1 - 1 / beta.value.a))

@@ -70,9 +70,8 @@ def basic_interval(a):
         raise NotMaximalRotation("%r is not primitive" % a)
     if W.max_rotation(a) != a:
         raise NotMaximalRotation("%r is not maximal among its rotations" % a)
+    # (a)^inf is in Q: it holds a 1, and a is its own greatest rotation
     alpha_L = EpSequence("", a)
-    if not is_in_Q(alpha_L):
-        raise NotInQ("(%s)^inf is not an expansion of 1" % a)
     s, _ = W.lyndon_rotation(a)
     alpha_R = EpSequence(W.plus(a), s)
     if not is_in_Q(alpha_R):

@@ -186,7 +186,8 @@ def tau_report(beta, atlas_depth=10):
     critical hole size tau_beta."""
     if atlas_depth < 2:
         raise ValueError("atlas_depth must be >= 2")
-    one_minus = 1 - 1 / beta.value
+    # 1 - 1/beta rises with beta
+    one_minus = N.Interval(1 - 1 / beta.value.a, 1 - 1 / beta.value.b)
     if beta.compare(S.ONES) == 0:
         return TauReport(beta, "outside_closure", 0.5, 0.5,
                          {"note": "doubling map"}, atlas_depth, True)

@@ -3,11 +3,14 @@
 Every value is exact: a decimal base or hole is a rational number, and a
 base named by its kneading sequence is bracketed between two dyadic
 numbers by integer Newton steps that two exact signs certify, with
-bisection as the fallback.  `Interval` carries both kinds as closed
-intervals with `Fraction` ends, so a digit is either certified or reported
-as undecided, with no floating-point precision anywhere.  A base is placed
-against the base of a kneading sequence by `BetaSpec.compare`, one exact
-sign test that never leaves a comparison undecided.
+bisection as the fallback.  `Interval` brackets both kinds between two
+`Fraction` ends and does no arithmetic: each map applied to a base here
+(beta*y for y >= 0, pi_beta, 1 - 1/beta) is monotone in it, so it is
+evaluated exactly at the two ends.  A digit is therefore either certified
+or reported as undecided, with no floating-point precision anywhere.  A
+base is placed against the base of a kneading sequence by
+`BetaSpec.compare`, one exact sign test that never leaves a comparison
+undecided.
 """
 
 import math
@@ -28,10 +31,10 @@ LOG_BITS = 136
 
 
 class Interval:
-    """The closed interval [a, b] with exact Fraction ends.
+    """The closed interval [a, b] with exact Fraction ends, a bracket only.
 
-    int, float, str and Fraction operands are coerced to point intervals;
-    + - * / and integer powers return enclosures of every possible result.
+    Ends are taken as int, float, str or Fraction; one argument gives a
+    point.  It has no arithmetic: callers evaluate monotone maps at a and b.
     """
 
     __slots__ = ("a", "b")
@@ -42,56 +45,6 @@ class Interval:
         if self.a > self.b:
             raise ValueError("interval ends out of order: %s > %s"
                              % (self.a, self.b))
-
-    @classmethod
-    def _of(cls, x):
-        return x if isinstance(x, cls) else cls(x)
-
-    @classmethod
-    def _ends(cls, a, b):
-        """The interval [a, b] from Fraction ends already in order."""
-        r = cls.__new__(cls)
-        r.a, r.b = a, b
-        return r
-
-    def __add__(self, other):
-        o = Interval._of(other)
-        return Interval._ends(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = Interval._of(other)
-        return Interval._ends(self.a - o.b, self.b - o.a)
-
-    def __rsub__(self, other):
-        return Interval._of(other) - self
-
-    def __mul__(self, other):
-        o = Interval._of(other)
-        if self.a >= 0 and o.a >= 0:
-            return Interval._ends(self.a * o.a, self.b * o.b)
-        p = (self.a * o.a, self.a * o.b, self.b * o.a, self.b * o.b)
-        return Interval._ends(min(p), max(p))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = Interval._of(other)
-        if o.a <= 0 <= o.b:
-            raise ZeroDivisionError("interval divisor %r contains 0" % (o,))
-        return self * Interval._ends(1 / o.b, 1 / o.a)
-
-    def __rtruediv__(self, other):
-        return Interval._of(other) / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return 1 / self ** -n
-        lo, hi = sorted((self.a ** n, self.b ** n))
-        if n % 2 == 0 and self.a < 0 < self.b:
-            lo = Fraction(0)
-        return Interval._ends(lo, hi)
 
     def mid(self):
         return (self.a + self.b) / 2
@@ -117,7 +70,7 @@ class Interval:
 
     def log2(self):
         """Enclosure of log2 over the interval, for 1 <= a <= b <= 2."""
-        return Interval._ends(*_log2(self.a, self.b))
+        return Interval(*_log2(self.a, self.b))
 
     def __repr__(self):
         return "Interval(%s, %s)" % (self.a, self.b)
@@ -202,31 +155,34 @@ def _expand(x, beta, n, tie):
     alpha_of_beta and survivor.greedy_sequence, for Intervals x and
     beta > 1.
 
+    The orbit is carried as the two Fraction ends lo, hi of a bracket.
     Digit 0 where beta*y < 1, 1 where beta*y > 1 and `tie` where
     beta*y == 1; it stops uncertified when beta*y straddles a decision.
     A point orbit that returns to an earlier point is eventually periodic:
     it ends the loop with that sequence's first n digits.
     Returns (digits, certified, the eventually periodic sequence or None).
     """
-    y = x
+    lo, hi = x.a, x.b
     out = []
     seen = {}
     for i in range(n):
-        if y.a == y.b:
+        if lo == hi:
             # a Fraction's hash takes a modular inverse; its pair does not
-            key = y.a.as_integer_ratio()
+            key = lo.as_integer_ratio()
             if key in seen:
                 j = seen[key]
                 seq = EpSequence("".join(out[:j]), "".join(out[j:]))
                 return seq.prefix(n), True, seq
             seen[key] = i
-        c = y * beta
-        if c.b < 1 or (c.b == 1 and tie == "0"):
+        # beta*y rises in y and, for y >= 0, in beta, so the ends map to
+        # the ends, and a digit step keeps y >= 0.  An orbit below 0 (a
+        # hole t < 0) stays there with its ends swapped: hi < 1, digit 0.
+        lo, hi = lo * beta.a, hi * beta.b
+        if hi < 1 or (hi == 1 and tie == "0"):
             out.append("0")
-            y = c
-        elif c.a > 1 or (c.a == 1 and tie == "1"):
+        elif lo > 1 or (lo == 1 and tie == "1"):
             out.append("1")
-            y = c - 1
+            lo, hi = lo - 1, hi - 1
         else:
             return "".join(out), False, None
     return "".join(out), True, None

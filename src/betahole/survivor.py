@@ -198,7 +198,8 @@ class EntropyBracket:
 
 def _scc_spectral_radius(auto, comp):
     """Exact bracket for the largest eigenvalue of the adjacency matrix
-    restricted to one strongly connected component of two or more states.
+    restricted to one recurrent strongly connected component: two or more
+    states, or one state with one or two self-loops.
 
     Sparse power iteration on B = A + I, which is primitive on a strongly
     connected graph.  Each state keeps its (at most two) successors in the
@@ -267,11 +268,7 @@ def entropy(shift):
     # a live start reaches a cycle, so the spectral radius is at least 1
     lam_lo = lam_hi = 1
     for comp in cycles:
-        if len(comp) == 1:
-            # one state with one or two self-loops
-            lo = hi = auto.transitions[comp[0]].count(comp[0])
-        else:
-            lo, hi = _scc_spectral_radius(auto, comp)
+        lo, hi = _scc_spectral_radius(auto, comp)
         lam_lo = max(lam_lo, lo)
         lam_hi = max(lam_hi, hi)
     h_lo, h_hi = N._log2(lam_lo, lam_hi)

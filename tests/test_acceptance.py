@@ -59,8 +59,7 @@ def test_criterion_04_staircase_reproduction():
     detail = []
     for alpha in ["(10)", "(110)"]:
         beta = BetaSpec.parse("@" + alpha)
-        lim = 1 - 1 / beta.value
-        tmax = math.nextafter(float(lim.b), 1.0)
+        tmax = math.nextafter(float(1 - 1 / beta.value.b), 1.0)
         rows = []
         for i in range(64):
             t = tmax * i / 63
@@ -140,19 +139,19 @@ def test_criterion_07_interval_structure():
 
 
 def test_criterion_08_critical_point_bracket():
-    b = Interval("1.7")
+    b = Fraction(17, 10)
     beta = BetaSpec.parse("1.7")
-    ts = project(C.t_star_sequence("10"), b)
-    td = project(C.t_diamond_sequence("10"), b)
+    ts = project(C.t_star_sequence("10"), Interval(b))
+    td = project(C.t_diamond_sequence("10"), Interval(b))
     lim = 1 - 1 / b
     m = 2   # len("10")
     # repaired lower bound (1 - 1/beta)(beta^m - 2)/(beta^m - 1); see
     # test_criterion_08_corrected_lower_bound for why the last term is needed
     lhs = (lim - 1 / b ** m + 1 / (b * (b ** m - 1))
            - 1 / (b ** m * (b ** m - 1)))
-    chain1 = lhs.b <= ts.a
+    chain1 = lhs <= ts.a
     chain2 = ts.b <= td.a
-    chain3 = td.b < lim.a
+    chain3 = td.b < lim
     r_lo = dimension(beta, PointSpec(value=float(ts.a) - 0.01))
     pos = r_lo.dim_lower > 0
     r_hi = dimension(beta, PointSpec(seq=C.t_diamond_sequence("10")))
@@ -163,7 +162,7 @@ def test_criterion_08_critical_point_bracket():
            "(lhs=%.6f, t*=%.6f), t*<=t_dia %s, "
            "t_dia<1-1/beta %s, dim(t*-0.01) lower %.4f>0 %s, "
            "dim(t_dia) upper %.2e<0.02 %s" % (
-               chain1, float(lhs.b), float(ts.a),
+               chain1, float(lhs), float(ts.a),
                chain2, chain3, r_lo.dim_lower, pos, r_hi.dim_upper, dead))
 
 
@@ -181,14 +180,16 @@ def test_criterion_08_corrected_lower_bound():
         a = rec.generator
         m = len(a)
         bl, br = rec.beta_L.value, rec.beta_R.value
-        for lam in (0.3, 1.0):
-            b = bl + (br - bl) * lam
-            ts = project(C.t_star_sequence(a), b)
-            lhs = (1 - 1 / b - 1 / b ** m
-                   + 1 / (b * (b ** m - 1)) - 1 / (b ** m * (b ** m - 1)))
-            # equality holds at the right endpoint, so allow a sliver of
-            # interval-rounding slack
-            assert lhs.b <= ts.b + Fraction(1, 2 ** 90), (a, lam)
+        for lam in map(Fraction, (0.3, 1.0)):
+            # bl + (br - bl) * lam over every point of the two brackets
+            ends = (bl.a + lam * (br.a - bl.b), bl.b + lam * (br.b - bl.a))
+            ts = project(C.t_star_sequence(a), Interval(*ends))
+            for b in ends:
+                lhs = (1 - 1 / b - 1 / b ** m + 1 / (b * (b ** m - 1))
+                       - 1 / (b ** m * (b ** m - 1)))
+                # equality holds at the right endpoint, so allow a sliver
+                # of slack for the width of the bracket
+                assert lhs <= ts.b + Fraction(1, 2 ** 90), (a, lam)
 
 
 def test_criterion_09_left_endpoint_emptiness():

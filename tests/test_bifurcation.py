@@ -7,7 +7,7 @@ import pytest
 from betahole.errors import (CertificateFailed, NotFarey,
                              NotFareyReflection, NotInQ, NotLyndon,
                              NotMaximalRotation)
-from betahole.sequences import EpSequence
+from betahole.sequences import EpSequence, is_in_Q
 from betahole.numeric import BetaSpec
 from betahole import bifurcation as B
 from betahole import numeric as N
@@ -58,6 +58,14 @@ def test_basic_interval_rejects():
         B.basic_interval("01")
     with pytest.raises(NotMaximalRotation):
         B.basic_interval("1010")
+
+
+def test_left_endpoint_of_every_generator_is_in_Q():
+    """basic_interval takes (a)^inf as alpha_L unchecked: a generator
+    holds a 1 and is its own greatest rotation, so (a)^inf is in Q."""
+    gens = B.generators(14)
+    assert len(gens) == 2536
+    assert all(is_in_Q(EpSequence("", a)) for a in gens)
 
 
 def test_farey_interval():

@@ -177,13 +177,15 @@ def test_bracket_chain_inside_intervals():
         a = rec.generator
         bl = rec.beta_L.value
         br = rec.beta_R.value
-        for lam in (0.25, 0.75, 1.0):
-            bv = bl + (br - bl) * lam
+        for lam in (Fraction(1, 4), Fraction(3, 4), 1):
+            # bl + (br - bl) * lam over every point of the two brackets
+            bv = N.Interval(bl.a + lam * (br.a - bl.b),
+                            bl.b + lam * (br.b - bl.a))
             ts = project(C.t_star_sequence(a), bv)
             td = project(C.t_diamond_sequence(a), bv)
-            lim = 1 - 1 / bv
+            lim = 1 - 1 / bv.a   # 1 - 1/beta rises with beta
             assert ts.a <= td.b
-            assert td.b < lim.a
+            assert td.b < lim
 
 
 def test_outside_closure_gap_matches_all_records_formula():

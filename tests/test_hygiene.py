@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import betahole
+from betahole.numeric import Interval
 
 PKG = Path(betahole.__file__).resolve().parent
 
@@ -177,3 +178,11 @@ def test_no_process_wide_caches_in_package():
             found += ["%s:%d %s" % (path.name, node.lineno, name)
                       for name in names if name in banned]
     assert found == []
+
+
+def test_interval_has_no_arithmetic():
+    # Interval is a bracket: each monotone map that takes one (the digit
+    # loop, project, 1 - 1/beta) is evaluated at its two ends instead
+    ops = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+           "__rmul__", "__truediv__", "__rtruediv__", "__pow__"]
+    assert [op for op in ops if hasattr(Interval, op)] == []

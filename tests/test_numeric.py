@@ -293,13 +293,15 @@ def test_greedy_digits():
     d, cert = N.greedy_digits(Interval("0.5"), Interval(2), 8)
     assert d == "10000000" and cert
     # golden base, x just above 1 - 1/beta: expansion starts 01 then 0s
+    # (1 - 1/beta rises with beta, so its bracket is taken at the ends)
     b = N.beta_from_alpha(EpSequence.parse("(10)"))
-    x = 1 - 1 / b + Fraction(1, 2 ** 40)
+    e = Fraction(1, 2 ** 40)
+    x = Interval(1 - 1 / b.a + e, 1 - 1 / b.b + e)
     d, _ = N.greedy_digits(x, b, 10)
     assert d.startswith("0100000000")
     # at the exact bracketed point the second digit is a tie: the orbit
     # lands on the critical value, so certification stops honestly
-    x = 1 - 1 / b
+    x = Interval(1 - 1 / b.a, 1 - 1 / b.b)
     d, cert = N.greedy_digits(x, b, 10)
     assert not cert and d == "0"
 
@@ -312,6 +314,27 @@ def test_greedy_digits_run_past_a_closed_orbit():
             d, cert = N.greedy_digits(Interval(x), Interval(2), n)
             assert cert and d == "".join(
                 str(int(x * 2 ** (i + 1)) % 2) for i in range(n)), (x, n)
+
+
+def test_greedy_digits_at_a_bracket_are_digits_at_its_ends():
+    """The certified digits of a hole bracket under a base bracket are a
+    prefix of the digits at each corner point: beta*y rises in both y and
+    beta, so stepping the ends of both brackets encloses every orbit."""
+    rng = random.Random(25)
+    bases = [N.beta_from_alpha(EpSequence.parse(t))
+             for t in ("(10)", "(110)", "1(10)")]
+    bases += [rec.beta_R.value for rec in B.atlas(8)[::7]]
+    assert len(bases) == 13
+    for beta in bases:
+        for _ in range(6):
+            x = Fraction(rng.randrange(1, 10 ** 6), 10 ** 6)
+            for hole in (Interval(x), Interval(x, x + Fraction(1, 2 ** 90))):
+                d, _ = N.greedy_digits(hole, beta, 160)
+                assert len(d) >= 30, (hole, beta)
+                for y, b in product((hole.a, hole.b), (beta.a, beta.b)):
+                    at_point, cert = N.greedy_digits(Interval(y),
+                                                     Interval(b), 160)
+                    assert cert and at_point.startswith(d), (hole, beta)
 
 
 def test_greedy_digits_rejects_x_outside_0_1():
@@ -447,20 +470,11 @@ def test_alpha_sequence_detects_period():
 
 
 def test_interval_arithmetic_is_exact():
+    """An Interval's ends are exact Fractions, in order."""
     x = Interval("1.7")
     assert (x.a, x.b) == (Fraction(17, 10),) * 2
     assert Interval(0.5).a == Fraction(1, 2)
     assert Interval(Fraction(1, 3), 1).b == 1
-    y = 1 - 1 / x + Fraction(1, 10)
-    assert y.a == y.b == Fraction(7, 17) + Fraction(1, 10)
-    assert (x ** 3).a == Fraction(4913, 1000)
-    assert (x ** -2).a == Fraction(100, 289)
-    z = Interval(-1, 2)
-    assert ((z * z).a, (z * z).b) == (-2, 4)
-    assert ((z ** 2).a, (z ** 2).b) == (0, 4)
-    assert ((z - x).a, (z - x).b) == (Fraction(-27, 10), Fraction(3, 10))
-    with pytest.raises(ZeroDivisionError):
-        x / z
     with pytest.raises(ValueError):
         Interval("0.9").log2()
     with pytest.raises(ValueError):

@@ -264,6 +264,19 @@ def test_dimension_at_zero_is_one():
         assert rep.dim_upper <= 1
 
 
+def test_dimension_at_holes_outside_the_unit_interval():
+    """A hole below 0 cuts nothing: its orbit stays below 0, with the ends
+    of its bracket swapped at a symbolic base, and takes digit 0 at every
+    step.  A hole at or beyond 1 cuts everything."""
+    for bs in ["@(110)", "1.5"]:
+        beta = BetaSpec.parse(bs)
+        rep = dimension(beta, PointSpec(value=-0.2))
+        assert not rep.empty and rep.dim_upper == 1.0, bs
+        assert rep.dim_lower > 1 - 1e-9, bs
+        for t in (1, 1.3):
+            assert dimension(beta, PointSpec(value=t)).empty, (bs, t)
+
+
 def test_dimension_doubling_map_values():
     rep = dimension(BetaSpec.parse("2"), PointSpec(value=0.5))
     assert rep.dim_upper < 1e-9
