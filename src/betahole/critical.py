@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .errors import CertificateFailed, FinitenessCertificateFailed
 from .sequences import EpSequence, extreme_shifts, lex_compare_ep
-from .survivor import LexSubshift, compile
+from .survivor import LexSubshift, compile, recurrence
 from . import bifurcation as B
 from . import sequences as S
 from . import words as W
@@ -15,51 +15,53 @@ from . import numeric as N
 from .numeric import fixed, float_down, float_up
 
 
-def _cycle_structure(auto):
+def _cycle_structure(trans):
     """Certify that the live part of the automaton carries only finitely
-    many infinite paths, and return (live, cycle_info).
+    many infinite paths, and return (live, cycle_info); raise
+    FinitenessCertificateFailed where the certificate fails.
 
     The certificate: every recurrent class is a simple cycle with no exit
     edges into the live part, so an infinite path consists of a finite
     transient prefix followed by one committed cycle.  cycle_info maps
     each cycle state to the periodic digit word read around its cycle.
     """
-    live, cycles = auto.recurrence()
+    live, cycles = recurrence(trans)
     in_cycle = {}
     for comp in cycles:
         cset = set(comp)
         # each state must have exactly one live outgoing edge, inside the comp
         succ = {}
         for s in comp:
-            outs = [(d, t) for d, t in enumerate(auto.transitions[s])
+            outs = [(d, t) for d, t in enumerate(trans[s])
                     if t is not None and t in live]
             if len(outs) != 1 or outs[0][1] not in cset:
-                return None, None
+                raise FinitenessCertificateFailed(
+                    "recurrent part is not a union of bare cycles")
             succ[s] = outs[0]
-        # walk the cycle from each entry point to read its digit word
-        for s0 in comp:
-            word = []
-            s = s0
-            while True:
-                d, t = succ[s]
-                word.append(str(d))
-                s = t
-                if s == s0:
-                    break
-            in_cycle[s0] = "".join(word)
+        # read the cycle's word once from comp[0]; each state's word is
+        # the rotation starting at its place on the walk
+        word, order, s = [], [], comp[0]
+        for _ in comp:
+            d, t = succ[s]
+            word.append(str(d))
+            order.append(s)
+            s = t
+        word = "".join(word)
+        for i, s in enumerate(order):
+            in_cycle[s] = word[i:] + word[:i]
     return live, in_cycle
 
 
-def _enumerate_paths(auto, live, in_cycle):
+def _enumerate_paths(trans, live, in_cycle):
     """All infinite-path labels: finite transient prefixes into cycles."""
     out = set()
-    stack = [(auto.start, "")]
+    stack = [(0, "")]
     while stack:
         s, prefix = stack.pop()
         if s in in_cycle:
             out.add(EpSequence(prefix, in_cycle[s]))
             continue
-        for d, t in enumerate(auto.transitions[s]):
+        for d, t in enumerate(trans[s]):
             if t is not None and t in live:
                 stack.append((t, prefix + str(d)))
     return sorted(out, key=lambda e: (e.pre, e.per))
@@ -77,17 +79,14 @@ def z_set(a):
     s, _ = W.lyndon_rotation(a)
     shift = LexSubshift(EpSequence(s, "0"), EpSequence("", a),
                         strict_lower=False, strict_upper=False)
-    auto = compile(shift)
-    live, in_cycle = _cycle_structure(auto)
-    if in_cycle is None:
-        raise FinitenessCertificateFailed(
-            "recurrent part for %r is not a union of bare cycles" % a)
+    trans = compile(shift)
+    live, in_cycle = _cycle_structure(trans)
     rots = set(W.rotations(a))
     for word in in_cycle.values():
         if word not in rots:
             raise FinitenessCertificateFailed(
                 "recurrent cycle %r is not a rotation of %r" % (word, a))
-    return _enumerate_paths(auto, live, in_cycle)
+    return _enumerate_paths(trans, live, in_cycle)
 
 
 def verify_empty_at_left_endpoint(a):
@@ -188,7 +187,7 @@ def tau_report(beta, atlas_depth=10):
         raise ValueError("atlas_depth must be >= 2")
     # 1 - 1/beta rises with beta
     one_minus = N.Interval(1 - 1 / beta.value.a, 1 - 1 / beta.value.b)
-    if beta.compare(S.ONES) == 0:
+    if beta.alpha_sequence() == S.ONES:
         return TauReport(beta, "outside_closure", 0.5, 0.5,
                          {"note": "doubling map"}, atlas_depth, True)
     where, found = _locate(beta, atlas_depth)

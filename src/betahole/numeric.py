@@ -26,7 +26,7 @@ DEFAULT_HORIZON = 96
 #: beta_from_alpha returns brackets exactly 2^-ROOT_BITS wide
 ROOT_BITS = 100
 
-#: fixed-point bits of the series behind Interval.log2
+#: fixed-point bits of the series behind _log2
 LOG_BITS = 136
 
 
@@ -67,10 +67,6 @@ class Interval:
             d, s = d * 10 ** (1 - s), 1
         whole, frac = divmod(d, 10 ** s)
         return "%s%d.%0*d" % ("-" if m < 0 else "", whole, s, frac)
-
-    def log2(self):
-        """Enclosure of log2 over the interval, for 1 <= a <= b <= 2."""
-        return Interval(*_log2(self.a, self.b))
 
     def __repr__(self):
         return "Interval(%s, %s)" % (self.a, self.b)
@@ -361,9 +357,9 @@ class BetaSpec:
         return (v < 0) - (v > 0)
 
     def log2(self):
-        """self.value.log2(), evaluated once."""
+        """An Interval enclosing log2 beta, evaluated once."""
         if self._log2_value is None:
-            self._log2_value = self.value.log2()
+            self._log2_value = Interval(*_log2(self.value.a, self.value.b))
         return self._log2_value
 
     def alpha_prefix(self, n):

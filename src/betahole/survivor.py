@@ -4,10 +4,11 @@ A LexSubshift is the set of one-sided 0/1 sequences x with
 
     lower <= sigma^n(x) < upper      for all n >= 0
 
-(with the strictness of each bound configurable).  It compiles to a DFA
-whose state holds, for each bound, an int with one bit for every prefix
-length on which the word read so far still ends; leaving a prefix on the
-wrong side kills the path.
+(with the strictness of each bound configurable).  `compile` builds its
+DFA as a transition list, one (digit 0, digit 1) successor pair per state
+with None where the digit dies and state 0 the start.  A state holds, for
+each bound, an int with one bit for every prefix length on which the word
+read so far still ends; leaving a prefix on the wrong side kills the path.
 """
 
 from dataclasses import dataclass
@@ -55,9 +56,11 @@ def reduce_upper(shift):
     return shift
 
 
-class SubshiftAutomaton:
-    """DFA over {0,1} whose length-n path count equals the number of
-    words passing every suffix-window check against the two bounds.
+def compile(shift):
+    """The DFA over {0,1} whose length-n path count from state 0 equals
+    the number of words passing every suffix-window check against the two
+    bounds, as its transition list: entry s is the pair (state after
+    digit 0, state after digit 1), None where that digit dies.
 
     A state is a pair of ints (lo, up): bit i is set when the word read
     so far ends on the first i digits of that bound, with positions
@@ -69,123 +72,110 @@ class SubshiftAutomaton:
     len(pre).  States are numbered in breadth-first order from (0, 0).
     """
 
-    def __init__(self, shift):
-        self.shift = shift
+    def masks(seq):
+        # zeros and ones of the first window digits, all window bits,
+        # and the bit that position window folds to
+        full = (1 << seq.window) - 1
+        ones = int(seq.prefix(seq.window)[::-1], 2)
+        return ones ^ full, ones, full, 1 << len(seq.pre)
 
-        def masks(seq):
-            # zeros and ones of the first window digits, all window bits,
-            # and the bit that position window folds to
-            full = (1 << seq.window) - 1
-            ones = int(seq.prefix(seq.window)[::-1], 2)
-            return ones ^ full, ones, full, 1 << len(seq.pre)
+    z_lo, o_lo, full_lo, fold_lo = masks(shift.lower)
+    z_up, o_up, full_up, fold_up = masks(shift.upper)
+    index = {(0, 0): 0}
+    order = [(0, 0)]
 
-        z_lo, o_lo, full_lo, fold_lo = masks(shift.lower)
-        z_up, o_up, full_up, fold_up = masks(shift.upper)
-        index = {(0, 0): 0}
-        order = [(0, 0)]
+    def visit(lo, up):
+        # number of the state reached by the continuing matches lo, up
+        lo <<= 1
+        if lo > full_lo:
+            lo = lo & full_lo | fold_lo
+        up <<= 1
+        if up > full_up:
+            up = up & full_up | fold_up
+        if (lo, up) not in index:
+            if len(order) >= STATE_CAP:
+                raise StateCapExceeded(
+                    "automaton exceeded %d states" % STATE_CAP)
+            index[lo, up] = len(order)
+            order.append((lo, up))
+        return index[lo, up]
 
-        def visit(lo, up):
-            # number of the state reached by the continuing matches lo, up
-            lo <<= 1
-            if lo > full_lo:
-                lo = lo & full_lo | fold_lo
-            up <<= 1
-            if up > full_up:
-                up = up & full_up | fold_up
-            if (lo, up) not in index:
-                if len(order) >= STATE_CAP:
-                    raise StateCapExceeded(
-                        "automaton exceeded %d states" % STATE_CAP)
-                index[lo, up] = len(order)
-                order.append((lo, up))
-            return index[lo, up]
+    trans = []
+    for lo, up in order:
+        lo |= 1
+        up |= 1
+        trans.append((None if lo & o_lo else visit(lo & z_lo, up & z_up),
+                      None if up & z_up else visit(lo & o_lo, up & o_up)))
+    return trans
 
-        trans = []
-        for lo, up in order:
-            lo |= 1
-            up |= 1
-            trans.append((None if lo & o_lo else visit(lo & z_lo, up & z_up),
-                          None if up & z_up else visit(lo & o_lo, up & o_up)))
-        self.transitions = trans
-        self.start = 0
 
-    def __len__(self):
-        """Number of states; the benchmark's tracer reads it as the state
-        count of survivor.compile."""
-        return len(self.transitions)
+def recurrence(trans):
+    """(live, cycles) of a transition list: the states with arbitrarily
+    long outgoing paths, and the strongly connected components that hold
+    a cycle.
 
-    def count_paths(self, n):
-        v = [0] * len(self.transitions)
-        v[self.start] = 1
-        for _ in range(n):
-            w = [0] * len(v)
-            for c, row in zip(v, self.transitions):
-                if c:
-                    for nxt in row:
-                        if nxt is not None:
-                            w[nxt] += c
-            v = w
-        return sum(v)
-
-    def recurrence(self):
-        """(live, cycles): the states with arbitrarily long outgoing paths,
-        and the strongly connected components that hold a cycle.
-
-        One iterative pass of Tarjan's algorithm from the start state,
-        which reaches every state.  Tarjan closes a component only after
-        every component it reaches, so a component is live when it holds
-        a cycle (two or more states, or a self-loop) or has an edge into
-        a live state.
-        """
-        trans, start = self.transitions, self.start
-        # index 0 marks a state not yet visited
-        index, low = [0] * len(trans), [0] * len(trans)
-        on_stack, live = bytearray(len(trans)), bytearray(len(trans))
-        index[start] = low[start] = count = 1
-        on_stack[start] = 1
-        stack, work, cycles = [start], [(start, iter(trans[start]))], []
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if w is None:
-                    continue
-                if not index[w]:
-                    count += 1
-                    index[w] = low[w] = count
-                    stack.append(w)
-                    on_stack[w] = 1
-                    work.append((w, iter(trans[w])))
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            else:
-                # every successor of v is explored: v is finished
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = [stack.pop()]
-                    while comp[-1] != v:
-                        comp.append(stack.pop())
+    One iterative pass of Tarjan's algorithm from the start state 0,
+    which reaches every state.  Tarjan closes a component only after
+    every component it reaches, so a component is live when it holds
+    a cycle (two or more states, or a self-loop) or has an edge into
+    a live state.
+    """
+    # index 0 marks a state not yet visited
+    index, low = [0] * len(trans), [0] * len(trans)
+    on_stack, live = bytearray(len(trans)), bytearray(len(trans))
+    index[0] = low[0] = count = 1
+    on_stack[0] = 1
+    stack, work, cycles = [0], [(0, iter(trans[0]))], []
+    while work:
+        v, it = work[-1]
+        for w in it:
+            if w is None:
+                continue
+            if not index[w]:
+                count += 1
+                index[w] = low[w] = count
+                stack.append(w)
+                on_stack[w] = 1
+                work.append((w, iter(trans[w])))
+                break
+            if on_stack[w]:
+                low[v] = min(low[v], index[w])
+        else:
+            # every successor of v is explored: v is finished
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                comp = [stack.pop()]
+                while comp[-1] != v:
+                    comp.append(stack.pop())
+                for s in comp:
+                    on_stack[s] = 0
+                if len(comp) > 1 or v in trans[v]:
+                    cycles.append(comp)
                     for s in comp:
-                        on_stack[s] = 0
-                    if len(comp) > 1 or v in trans[v]:
-                        cycles.append(comp)
-                        for s in comp:
-                            live[s] = 1
-                    elif any(live[t] for t in trans[v] if t is not None):
-                        live[v] = 1
-        return set(compress(range(len(trans)), live)), cycles
-
-
-def compile(shift):
-    return SubshiftAutomaton(shift)
+                        live[s] = 1
+                elif any(live[t] for t in trans[v] if t is not None):
+                    live[v] = 1
+    return set(compress(range(len(trans)), live)), cycles
 
 
 def count_words(shift, n):
-    """Number of length-n words occurring in the subshift (window semantics)."""
-    return compile(shift).count_paths(n)
+    """Number of length-n words occurring in the subshift (window semantics):
+    the length-n paths from state 0 of its automaton."""
+    trans = compile(shift)
+    v = [0] * len(trans)
+    v[0] = 1
+    for _ in range(n):
+        w = [0] * len(v)
+        for c, row in zip(v, trans):
+            if c:
+                for nxt in row:
+                    if nxt is not None:
+                        w[nxt] += c
+        v = w
+    return sum(v)
 
 
 @dataclass
@@ -196,7 +186,7 @@ class EntropyBracket:
     empty: bool = False
 
 
-def _scc_spectral_radius(auto, comp):
+def _scc_spectral_radius(trans, comp):
     """Exact bracket for the largest eigenvalue of the adjacency matrix
     restricted to one recurrent strongly connected component: two or more
     states, or one state with one or two self-loops.
@@ -215,7 +205,7 @@ def _scc_spectral_radius(auto, comp):
     k = len(comp)
     succ_a, succ_b = [], []
     for s in comp:
-        succ = [idx[t] for t in auto.transitions[s] if t in idx] + [k, k]
+        succ = [idx[t] for t in trans[s] if t in idx] + [k, k]
         succ_a.append(succ[0])
         succ_b.append(succ[1])
     if all(b == k for b in succ_b):
@@ -261,14 +251,14 @@ def entropy(shift):
     the recurrent part of the compiled automaton, by one series for each
     end, rounded outward.
     """
-    auto = compile(shift)
-    live, cycles = auto.recurrence()
-    if auto.start not in live:
+    trans = compile(shift)
+    live, cycles = recurrence(trans)
+    if 0 not in live:
         return EntropyBracket(0.0, 0.0, "automaton_exact", empty=True)
     # a live start reaches a cycle, so the spectral radius is at least 1
     lam_lo = lam_hi = 1
     for comp in cycles:
-        lo, hi = _scc_spectral_radius(auto, comp)
+        lo, hi = _scc_spectral_radius(trans, comp)
         lam_lo = max(lam_lo, lo)
         lam_hi = max(lam_hi, hi)
     h_lo, h_hi = N._log2(lam_lo, lam_hi)

@@ -182,7 +182,7 @@ def test_no_process_wide_caches_in_package():
 
 def test_interval_has_no_arithmetic():
     # Interval is a bracket: each monotone map that takes one (the digit
-    # loop, project, 1 - 1/beta) is evaluated at its two ends instead
+    # loop, project, 1 - 1/beta, log2) is evaluated at its two ends instead
     ops = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-           "__rmul__", "__truediv__", "__rtruediv__", "__pow__"]
+           "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "log2"]
     assert [op for op in ops if hasattr(Interval, op)] == []
