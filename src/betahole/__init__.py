@@ -2,8 +2,8 @@
 Lyndon/Farey bifurcation machinery."""
 
 from .errors import BetaHoleError
-from .words import (lex_compare, plus, minus, reflect, is_lyndon,
-                    lyndon_rotation, max_rotation, farey_level, is_farey,
+from .words import (plus, reflect, is_lyndon, lyndon_rotation,
+                    max_rotation, farey_level, is_farey,
                     standard_factorization, check_palindrome_property)
 from .sequences import (EpSequence, lex_compare_ep, is_in_Q, is_admissible)
 from .numeric import (BetaSpec, beta_from_alpha, alpha_of_beta,

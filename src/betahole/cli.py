@@ -154,15 +154,13 @@ def factorize(word):
 @click.option("--kind", type=click.Choice(["farey", "all"]), default="all",
               show_default=True)
 @click.option("--digits", default=12, show_default=True, type=_POSITIVE)
-@click.option("--nesting/--no-nesting", default=True, show_default=True)
-def atlas(max_len, kind, digits, nesting):
+def atlas(max_len, kind, digits):
     """JSON atlas of basic/Farey parameter intervals up to a generator length."""
     recs = B.atlas(max_len, kind)
-    doc = {"intervals": B.atlas_json(recs, digits)}
-    if nesting:
-        doc["nesting"] = [{"first": recs[i].generator,
-                           "second": recs[j].generator, "relation": r}
-                          for i, j, r in B.nesting(recs)]
+    doc = {"intervals": B.atlas_json(recs, digits),
+           "nesting": [{"first": recs[i].generator,
+                        "second": recs[j].generator, "relation": r}
+                       for i, j, r in B.nesting(recs)]}
     click.echo(json.dumps(doc, indent=2))
 
 

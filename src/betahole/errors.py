@@ -6,7 +6,7 @@ class BetaHoleError(Exception):
 
 
 class LastDigitMismatch(BetaHoleError):
-    """plus()/minus() applied to a word whose last digit cannot be flipped."""
+    """plus() applied to a word whose last digit cannot be flipped."""
 
 
 class PeriodicWord(BetaHoleError):

@@ -182,7 +182,6 @@ def count_words(shift, n):
 class EntropyBracket:
     lower_bound: float
     upper_bound: float
-    method: str
     empty: bool = False
 
 
@@ -245,16 +244,14 @@ def _scc_spectral_radius(trans, comp):
 
 
 def entropy(shift):
-    """Topological entropy bracket in bits.
-
-    method=automaton_exact: log2 of the exact spectral-radius bracket of
-    the recurrent part of the compiled automaton, by one series for each
-    end, rounded outward.
+    """Topological entropy bracket in bits: log2 of the exact
+    spectral-radius bracket of the recurrent part of the compiled
+    automaton, by one series for each end, rounded outward.
     """
     trans = compile(shift)
     live, cycles = recurrence(trans)
     if 0 not in live:
-        return EntropyBracket(0.0, 0.0, "automaton_exact", empty=True)
+        return EntropyBracket(0.0, 0.0, empty=True)
     # a live start reaches a cycle, so the spectral radius is at least 1
     lam_lo = lam_hi = 1
     for comp in cycles:
@@ -262,7 +259,7 @@ def entropy(shift):
         lam_lo = max(lam_lo, lo)
         lam_hi = max(lam_hi, hi)
     h_lo, h_hi = N._log2(lam_lo, lam_hi)
-    return EntropyBracket(float_down(h_lo), float_up(h_hi), "automaton_exact")
+    return EntropyBracket(float_down(h_lo), float_up(h_hi))
 
 
 def membership(x, shift):
@@ -321,14 +318,13 @@ class DimensionReport:
 
 def dimension(beta, t, horizon=N.DEFAULT_HORIZON):
     """Entropy and Hausdorff-dimension brackets for the survivor set
-    with hole (0, t), via Bowen's formula dim = h / log2(beta).
+    with hole (0, t), t a PointSpec, via Bowen's formula
+    dim = h / log2(beta).
 
     When either bound is known only to a digit horizon, the subshift is
     bracketed between an outer automaton (bounds relaxed both ways) and
     an inner one (bounds tightened), and the report widens accordingly.
     """
-    if not isinstance(t, PointSpec):
-        t = PointSpec(value=t)
     a_seq, a_pref = alpha_bounds(beta, horizon)
     t_seq, t_pref = t.expansion(beta, horizon)
     lo_out = EpSequence(t_pref, "0") if t_seq is None else t_seq

@@ -1,8 +1,8 @@
 """Exact combinatorics on finite binary words.
 
-Words are plain Python strings over the alphabet {0,1}.  The order used
-everywhere is the one induced by padding with zeros: u comes before v
-exactly when the infinite sequence u000... comes before v000...
+Words are plain Python strings over the alphabet {0,1}, compared as
+strings; rotations, Lyndon words and Farey words are all ordered that
+way.
 """
 
 from math import gcd
@@ -25,37 +25,12 @@ def check_word(w):
     return w
 
 
-def lex_compare(u, v):
-    """Compare two words as if both were extended by infinitely many zeros.
-
-    Returns -1, 0 or 1.
-    """
-    check_word(u)
-    check_word(v)
-    n = max(len(u), len(v))
-    uu = u.ljust(n, "0")
-    vv = v.ljust(n, "0")
-    if uu < vv:
-        return -1
-    if uu > vv:
-        return 1
-    return 0
-
-
 def plus(w):
     """Flip a trailing 0 to a 1."""
     check_word(w)
     if w[-1] != "0":
         raise LastDigitMismatch("plus() needs a word ending in 0: %r" % w)
     return w[:-1] + "1"
-
-
-def minus(w):
-    """Flip a trailing 1 to a 0."""
-    check_word(w)
-    if w[-1] != "1":
-        raise LastDigitMismatch("minus() needs a word ending in 1: %r" % w)
-    return w[:-1] + "0"
 
 
 _FLIP = str.maketrans("01", "10")

@@ -32,7 +32,10 @@ def test_in_E_zero():
     assert B.in_E_zero(E("(0)"), E("(10)"))
     assert B.in_E_zero(E("01(0)"), E("(10)"))
     assert not B.in_E_zero(E("(01)"), E("(10)"))   # no zero tail
-    assert not B.in_E_zero(E("11(0)"), E("(110)"))  # shift above alpha
+    assert not B.in_E_zero(E("11(0)"), E("(110)"))  # shift drops below t
+    assert not B.in_E_zero(E("011(0)"), E("(10)"))  # shift 11(0) above alpha
+    with pytest.raises(NotInQ):
+        B.in_E_zero(E("(0)"), E("(01)"))
 
 
 def test_basic_interval_golden():

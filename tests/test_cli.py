@@ -104,6 +104,18 @@ def test_expand_certifies_an_exact_tie():
     assert r.output.strip() == "1" + "0" * 19
 
 
+def test_expand_reports_uncertified_digits_on_stderr():
+    # at a symbolic base the orbit bracket widens with every digit, so
+    # only a prefix of the 200 digits asked for is decided
+    r = run("expand", "--x", "0.3", "--beta", "@(10)", "--n", "200")
+    assert r.exit_code == 0
+    digits, cert = N.greedy_digits(Interval("0.3"),
+                                   BetaSpec.parse("@(10)").value, 200)
+    assert not cert and len(digits) == 144
+    assert r.stdout == digits + "\n"
+    assert r.stderr == "certified to 144 of 200 digits\n"
+
+
 def test_admissible():
     r = run("admissible", "--x", "(10)", "--alpha", "(110)")
     assert r.output.strip() == "true"
@@ -137,6 +149,14 @@ def test_atlas_json():
     assert all(rec["kind"] == "farey" for rec in doc["intervals"])
     r = run("atlas", "--max-len", "13")
     assert r.exit_code == 2
+
+
+def test_help_lists_the_options_of_a_command():
+    r = run("atlas", "--help")
+    assert r.exit_code == 0 and r.stderr == ""
+    assert r.stdout.startswith("Usage: ")
+    assert "--max-len" in r.stdout and "Show this message and exit." in \
+        r.stdout
 
 
 def test_staircase_deterministic_and_sane():

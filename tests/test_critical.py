@@ -94,6 +94,13 @@ def test_t_n_family():
             C.t_n_family(a, n)   # internal symbolic shift checks
 
 
+def test_t_n_family_and_tau_report_reject_too_small_arguments():
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        C.t_n_family("110", 0)
+    with pytest.raises(ValueError, match="atlas_depth must be >= 2"):
+        C.tau_report(BetaSpec.parse("1.5"), 1)
+
+
 def test_t_n_family_increasing():
     prev = None
     for n in range(1, 8):

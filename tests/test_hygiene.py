@@ -22,6 +22,18 @@ def run_python(code):
     return out.stdout.strip()
 
 
+def test_every_cli_option_is_passed_by_a_test():
+    # an option that no test passes can change or break unseen
+    from betahole import cli
+    text = "".join(path.read_text()
+                   for path in sorted(Path(__file__).parent.glob("test_*.py")))
+    flags = {flag for cmd in cli.main.commands.values()
+             for param in cmd.params
+             for flag in param.opts + param.secondary_opts}
+    assert sorted(flag for flag in flags if '"%s"' % flag not in text
+                  and "'%s'" % flag not in text) == []
+
+
 def test_cli_import_does_not_load_numpy():
     assert run_python(
         "import sys, betahole.cli; print('numpy' in sys.modules)") == "False"

@@ -63,7 +63,6 @@ def test_golden_mean_entropy():
     h = math.log2((1 + math.sqrt(5)) / 2)
     assert br.lower_bound <= h <= br.upper_bound
     assert br.upper_bound - br.lower_bound < 1e-9
-    assert br.method == "automaton_exact"
 
 
 def test_beta_shift_entropy_is_log_beta():

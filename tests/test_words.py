@@ -1,4 +1,4 @@
-"""Word combinatorics: order, rotations, Lyndon tests, Farey families."""
+"""Word combinatorics: rotations, Lyndon tests, Farey families."""
 
 import sys
 from itertools import product
@@ -33,36 +33,28 @@ def farey_pairs(max_len):
     return out
 
 
-def test_lex_compare_basics():
-    assert W.lex_compare("0", "1") == -1
-    assert W.lex_compare("10", "1") == 0   # 10 vs 1(0) padded
-    assert W.lex_compare("11", "1") == 1
-    assert W.lex_compare("0110", "0111") == -1
+def test_check_word_rejects_anything_but_a_binary_string():
+    for w in ["0", "1", "0110"]:
+        assert W.check_word(w) == w
     for bad in ["", "012", "0 1", None, ["0", "1"]]:
         with pytest.raises(ValueError, match="nonempty string over"):
             W.check_word(bad)
 
 
-@given(words_st, words_st)
-def test_lex_compare_antisymmetric(u, v):
-    assert W.lex_compare(u, v) == -W.lex_compare(v, u)
-
-
-def test_plus_minus():
+def test_plus():
     assert W.plus("10") == "11"
-    assert W.minus("11") == "10"
+    assert W.plus("0") == "1"
     with pytest.raises(LastDigitMismatch):
         W.plus("11")
-    with pytest.raises(LastDigitMismatch):
-        W.minus("10")
 
 
 @given(words_st)
-def test_plus_minus_inverse(w):
+def test_plus_flips_a_trailing_zero(w):
     if w[-1] == "0":
-        assert W.minus(W.plus(w)) == w
+        assert W.plus(w) == w[:-1] + "1"
     else:
-        assert W.plus(W.minus(w)) == w
+        with pytest.raises(LastDigitMismatch):
+            W.plus(w)
 
 
 @given(words_st)
