@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import betahole
+from betahole import cli
 from betahole.numeric import Interval
 
 PKG = Path(betahole.__file__).resolve().parent
@@ -24,7 +25,6 @@ def run_python(code):
 
 def test_every_cli_option_is_passed_by_a_test():
     # an option that no test passes can change or break unseen
-    from betahole import cli
     text = "".join(path.read_text()
                    for path in sorted(Path(__file__).parent.glob("test_*.py")))
     flags = {flag for cmd in cli.main.commands.values()
