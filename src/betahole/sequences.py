@@ -88,14 +88,11 @@ def lex_compare_ep(u, v):
 def extreme_shifts(x):
     """The least and the greatest shift sigma^n x, n >= 0. Any two shifts
     have preperiods <= len(pre) and periods that are rotations of per, so
-    lex_compare_ep orders them by their first 2 * window digits; shifts
-    with equal windows are equal, so ties do not matter."""
+    lex_compare_ep orders them by their first 2 * window digits."""
     w = x.window
     p = x.prefix(3 * w)
-
-    def key(n):
-        return p[n:n + 2 * w]
-    return x.shift(min(range(w), key=key)), x.shift(max(range(w), key=key))
+    ranked = sorted(range(w), key=lambda n: p[n:n + 2 * w])
+    return x.shift(ranked[0]), x.shift(ranked[-1])
 
 
 def is_in_Q(a):

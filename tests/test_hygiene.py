@@ -23,15 +23,45 @@ def run_python(code):
     return out.stdout.strip()
 
 
+def passed_words(tree):
+    """Words of the strings a test passes as arguments: those given to a
+    run(...) or invoke(...) call or listed in a tuple or list (argument
+    tuples, "cmd --flag v" strings to split). A string a test only looks
+    for in the output, as in `"--flag" in r.stdout`, is not passed."""
+    words = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+            items = node.args if name in ("run", "invoke") else []
+        elif isinstance(node, (ast.Tuple, ast.List)):
+            items = node.elts
+        else:
+            continue
+        for item in items:
+            if isinstance(item, ast.Constant) and isinstance(item.value, str):
+                words.update(item.value.split())
+    return words
+
+
 def test_every_cli_option_is_passed_by_a_test():
     # an option that no test passes can change or break unseen
-    text = "".join(path.read_text()
-                   for path in sorted(Path(__file__).parent.glob("test_*.py")))
+    words = set()
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        words |= passed_words(ast.parse(path.read_text()))
     flags = {flag for cmd in cli.main.commands.values()
              for param in cmd.params
              for flag in param.opts + param.secondary_opts}
-    assert sorted(flag for flag in flags if '"%s"' % flag not in text
-                  and "'%s'" % flag not in text) == []
+    assert sorted(flags - words) == []
+
+
+def test_an_option_only_looked_for_in_output_is_not_passed():
+    tree = ast.parse('assert "--a" in r.stdout\n'
+                     'r.stderr.startswith("--b")\n'
+                     'run("atlas", "--c")\n'
+                     'args = ("tau", "--d", "3")\n'
+                     'cases = ["zset --e 10"]\n')
+    assert sorted(w for w in passed_words(tree) if w.startswith("--")) == [
+        "--c", "--d", "--e"]
 
 
 def test_cli_import_does_not_load_numpy():
