@@ -11,8 +11,8 @@ from .numeric import (BetaSpec, beta_from_alpha, alpha_of_beta,
 from .survivor import (LexSubshift, PointSpec, reduce_upper, compile,
                        count_words, entropy, dimension, membership)
 from .bifurcation import (in_E_plus, in_E_zero, basic_interval,
-                          farey_interval, classify_isolated,
-                          nesting_relation, doubling_interval, phi, atlas)
+                          classify_isolated, nesting_relation,
+                          doubling_interval, phi, atlas)
 from .critical import (tau_report, tau_json, z_set, t_n_family,
                        t_star_sequence, t_diamond_sequence,
                        verify_empty_at_left_endpoint)

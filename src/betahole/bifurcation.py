@@ -11,9 +11,10 @@ beta -> alpha(beta) is an order isomorphism.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (CertificateFailed, NotFarey, NotFareyReflection,
-                     NotInQ, NotLyndon, NotMaximalRotation)
-from .sequences import EpSequence, extreme_shifts, lex_compare_ep, is_in_Q
+from .errors import (CertificateFailed, NotFareyReflection, NotInQ,
+                     NotLyndon, NotMaximalRotation)
+from .sequences import (EpSequence, extreme_shifts, is_admissible, is_in_Q,
+                        lex_compare_ep)
 from .numeric import BetaSpec, Interval
 from . import words as W
 from . import numeric as N
@@ -29,18 +30,17 @@ def in_E_plus(t, alpha):
 
 
 def in_E_zero(t, alpha):
-    """t has a 0-tail and satisfies the E+ conditions before the tail."""
+    """t has a 0-tail and satisfies the E+ conditions before the tail.
+
+    The canonical preperiod w of t = w0^inf ends in 1, so for 0 < k < |w|
+    t <= sigma^k t holds exactly when w[:|w|-k] < w[k:]: w lies below
+    each proper suffix, so w is Lyndon (Lothaire, Combinatorics on Words,
+    ch. 5).  Every shift past w is 0^inf < alpha, so "sigma^k t < alpha
+    for k < |w|" is Parry admissibility."""
     if not is_in_Q(alpha):
         raise NotInQ("upper bound must be an expansion of 1")
-    if not t.is_zero_tail():
-        return False
-    for k in range(len(t.pre)):
-        s = t.shift(k)
-        if lex_compare_ep(t, s) > 0:
-            return False
-        if lex_compare_ep(s, alpha) >= 0:
-            return False
-    return True
+    return t.is_zero_tail() and (not t.pre or W.is_lyndon(t.pre)) and \
+        is_admissible(t, alpha)
 
 
 @dataclass(frozen=True)
@@ -87,18 +87,6 @@ def require_farey_generator(a):
     if r in ("0", "1") or not W.is_farey(r):
         raise NotFareyReflection(
             "reflect(%r) = %r is not a non-degenerate Farey word" % (a, r))
-
-
-def farey_interval(a):
-    """basic_interval(a), insisting that reflect(a) is a non-degenerate
-    Farey word; for these the Lyndon rotation is the reversal of a."""
-    require_farey_generator(a)
-    rec = basic_interval(a)
-    if rec.lyndon != a[::-1]:
-        raise CertificateFailed(
-            "Farey reversal certificate failed: Lyndon rotation of %r "
-            "is %r, not its reversal" % (a, rec.lyndon))
-    return rec
 
 
 def classify_isolated(t_period, beta):
@@ -172,10 +160,7 @@ class DoublingInterval:
 def doubling_interval(w):
     """The doubling-map parameter interval (q_L, q_R) attached to a
     non-degenerate Farey word w."""
-    if w in ("0", "1"):
-        raise NotFarey("degenerate word %r" % w)
-    if not W.is_farey(w):
-        raise NotFarey("%r is not a Farey word" % w)
+    W.require_farey(w)
     q_R = N.value_at(EpSequence("", w), 2)
     q_L = N.value_at(EpSequence("", w[::-1]), 2) - Fraction(1, 2)
     if not q_L < q_R:

@@ -59,6 +59,15 @@ class _Group(_Command, click.Group):
             sys.exit(1)
 
 
+def _closed_alpha(beta_s):
+    """alpha(beta) of a --beta value, which must have a closed form."""
+    a = BetaSpec.parse(beta_s).alpha_sequence()
+    if a is None:
+        raise BetaHoleError("no closed form for alpha at this base; "
+                            "give beta as @PRE(PER)")
+    return a
+
+
 @click.group(cls=_Group)
 def main():
     """Beta-expansions, survivor sets and the Farey bifurcation atlas."""
@@ -118,12 +127,7 @@ def admissible(x_s, alpha_s, beta_s):
     """Parry admissibility of a sequence (all shifts strictly below alpha)."""
     if (alpha_s is None) == (beta_s is None):
         raise click.UsageError("give exactly one of --alpha / --beta")
-    if alpha_s is not None:
-        a = EpSequence.parse(alpha_s)
-    else:
-        a = BetaSpec.parse(beta_s).alpha_sequence()
-        if a is None:
-            raise BetaHoleError("no closed form for alpha at this base")
+    a = EpSequence.parse(alpha_s) if beta_s is None else _closed_alpha(beta_s)
     x = EpSequence.parse(x_s)
     click.echo("true" if is_admissible(x, a) else "false")
 
@@ -230,11 +234,7 @@ def zset(word):
 @click.option("--beta", "beta_s", required=True)
 def classify(t_s, beta_s):
     """Bifurcation-set membership of a hole endpoint given symbolically."""
-    beta = BetaSpec.parse(beta_s)
-    a = beta.alpha_sequence()
-    if a is None:
-        raise BetaHoleError("no closed form for alpha at this base; "
-                            "give beta as @PRE(PER)")
+    a = _closed_alpha(beta_s)
     t = EpSequence.parse(t_s)
     click.echo(json.dumps({
         "t": str(t),

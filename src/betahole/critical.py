@@ -22,31 +22,26 @@ def _cycle_structure(trans):
 
     The certificate: every recurrent class is a simple cycle with no exit
     edges into the live part, so an infinite path consists of a finite
-    transient prefix followed by one committed cycle.  cycle_info maps
-    each cycle state to the periodic digit word read around its cycle.
+    transient prefix followed by one committed cycle.  Each class is
+    walked once from comp[0], and every state on the walk must have
+    exactly one live successor, inside the class.  The states reachable
+    from comp[0] are then exactly the walk's, so a strongly connected
+    class that passes is the walk's cycle.  cycle_info maps each cycle
+    state to the rotation of the cycle's word that starts there.
     """
     live, cycles = recurrence(trans)
     in_cycle = {}
     for comp in cycles:
         cset = set(comp)
-        # each state must have exactly one live outgoing edge, inside the comp
-        succ = {}
-        for s in comp:
-            outs = [(d, t) for d, t in enumerate(trans[s])
-                    if t is not None and t in live]
+        word, order, s = "", [], comp[0]
+        for _ in comp:
+            outs = [(d, t) for d, t in enumerate(trans[s]) if t in live]
             if len(outs) != 1 or outs[0][1] not in cset:
                 raise FinitenessCertificateFailed(
                     "recurrent part is not a union of bare cycles")
-            succ[s] = outs[0]
-        # read the cycle's word once from comp[0]; each state's word is
-        # the rotation starting at its place on the walk
-        word, order, s = [], [], comp[0]
-        for _ in comp:
-            d, t = succ[s]
-            word.append(str(d))
             order.append(s)
-            s = t
-        word = "".join(word)
+            word += str(outs[0][0])
+            s = outs[0][1]
         for i, s in enumerate(order):
             in_cycle[s] = word[i:] + word[:i]
     return live, in_cycle
@@ -149,7 +144,8 @@ def _locate(beta, depth):
 
     The generator a = reflect(c(q - m, q)) needs no check: its interval
     has alpha_L = (a)^inf and alpha_R = a+ (reversed a)^inf, since the
-    reversal of a is its Lyndon rotation (see farey_interval).
+    reversal of a is its Lyndon rotation: by property (f2), the maximal
+    rotation of the Farey word reflect(a) is its reversal.
 
     Returns ("left", a) if beta = gamma_L of the generator a, ("inside", a)
     if beta lies in (gamma_L, gamma_R] of a, else ("gap", w): w >= the gap
@@ -224,8 +220,7 @@ def tau_report(beta, atlas_depth=10):
 def tau_json(report, digits=12):
     """JSON-ready report; the bracket is rounded outward at `digits`."""
     return {
-        "beta": ("@%s" % report.beta.alpha if report.beta.symbolic
-                 else report.beta.value.nstr(17)),
+        "beta": str(report.beta),
         "regime": report.regime,
         "tau_lower": fixed(report.tau_lower, digits, False),
         "tau_upper": fixed(report.tau_upper, digits, True),

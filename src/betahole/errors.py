@@ -21,7 +21,7 @@ class NotFarey(BetaHoleError):
     """The word is not a Farey word."""
 
 
-class DegenerateFarey(BetaHoleError):
+class DegenerateFarey(NotFarey):
     """The word is one of the degenerate Farey words '0' or '1'."""
 
 

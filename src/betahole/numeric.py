@@ -380,7 +380,9 @@ class BetaSpec:
             return self.alpha
         return S.ONES if self.value.a == 2 else None
 
+    def __str__(self):
+        """The printed label: "@PRE(PER)", or the value to 17 digits."""
+        return "@%s" % self.alpha if self.symbolic else self.value.nstr(17)
+
     def __repr__(self):
-        if self.symbolic:
-            return "BetaSpec(@%s)" % self.alpha
-        return "BetaSpec(%s)" % self.value.nstr(17)
+        return "BetaSpec(%s)" % self

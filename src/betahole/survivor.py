@@ -4,11 +4,12 @@ A LexSubshift is the set of one-sided 0/1 sequences x with
 
     lower <= sigma^n(x) < upper      for all n >= 0
 
-(with the strictness of each bound configurable).  `compile` builds its
-DFA as a transition list, one (digit 0, digit 1) successor pair per state
-with None where the digit dies and state 0 the start.  A state holds, for
-each bound, an int with one bit for every prefix length on which the word
-read so far still ends; leaving a prefix on the wrong side kills the path.
+(with the strictness of each bound configurable; only `membership` and
+`reduce_upper` read it).  `compile` builds the DFA of its closure, both
+bounds inclusive, as a transition list, one (digit 0, digit 1) successor
+pair per state with None where the digit dies and state 0 the start.  A
+state holds, for each bound, the prefix lengths on which the word read so
+far ends, as the bits of an int.
 """
 
 from dataclasses import dataclass
@@ -59,8 +60,9 @@ def reduce_upper(shift):
 def compile(shift):
     """The DFA over {0,1} whose length-n path count from state 0 equals
     the number of words passing every suffix-window check against the two
-    bounds, as its transition list: entry s is the pair (state after
-    digit 0, state after digit 1), None where that digit dies.
+    bounds, both inclusive whatever the strictness flags say (the closure
+    of the subshift), as its transition list: entry s is the pair (state
+    after digit 0, state after digit 1), None where that digit dies.
 
     A state is a pair of ints (lo, up): bit i is set when the word read
     so far ends on the first i digits of that bound, with positions

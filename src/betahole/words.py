@@ -72,28 +72,24 @@ def rotations(w):
     return [w[i:] + w[:i] for i in range(len(w))]
 
 
+def _aperiodic_rotations(w):
+    if not is_aperiodic(w):
+        raise PeriodicWord("word is a power of a shorter word: %r" % w)
+    return rotations(w)
+
+
 def lyndon_rotation(w):
     """Smallest cyclic rotation of an aperiodic word, with its shift.
 
     Returns (rotated, j) such that rotated = w[j:] + w[:j].
     """
-    check_word(w)
-    if not is_aperiodic(w):
-        raise PeriodicWord("word is a power of a shorter word: %r" % w)
-    best, best_j = w, 0
-    for j in range(1, len(w)):
-        r = w[j:] + w[:j]
-        if r < best:
-            best, best_j = r, j
-    return best, best_j
+    best = min(_aperiodic_rotations(w))
+    return best, (w + w).index(best)
 
 
 def max_rotation(w):
     """Largest cyclic rotation of an aperiodic word."""
-    check_word(w)
-    if not is_aperiodic(w):
-        raise PeriodicWord("word is a power of a shorter word: %r" % w)
-    return max(rotations(w))
+    return max(_aperiodic_rotations(w))
 
 
 def farey_level(n):
@@ -137,25 +133,25 @@ def is_farey(w):
     return gcd(p, q) == 1 and w == christoffel(p, q)
 
 
+def require_farey(w):
+    """Raise NotFarey unless w is a non-degenerate Farey word."""
+    if w in ("0", "1"):
+        raise DegenerateFarey("degenerate Farey word: %r" % w)
+    if not is_farey(w):
+        raise NotFarey("not a Farey word: %r" % w)
+
+
 def standard_factorization(w):
     """The unique split of a non-degenerate Farey word into the two Farey
     words whose concatenation produced it in the level recursion; for
     c(p, q) the first factor has length p^-1 mod q."""
-    check_word(w)
-    if w in ("0", "1"):
-        raise DegenerateFarey("degenerate Farey word has no factorization: %r" % w)
-    if not is_farey(w):
-        raise NotFarey("not a Farey word: %r" % w)
+    require_farey(w)
     k = pow(w.count("1"), -1, len(w))
     return w[:k], w[k:]
 
 
 def check_palindrome_property(w):
     """True iff the interior of the Farey word reads the same both ways."""
-    check_word(w)
-    if w in ("0", "1"):
-        raise NotFarey("degenerate Farey word: %r" % w)
-    if not is_farey(w):
-        raise NotFarey("not a Farey word: %r" % w)
+    require_farey(w)
     inner = w[1:-1]
     return inner == inner[::-1]

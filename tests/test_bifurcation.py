@@ -1,13 +1,14 @@
 """Bifurcation sets, interval atlas, doubling-map correspondence."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from betahole.errors import (CertificateFailed, NotFarey,
                              NotFareyReflection, NotInQ, NotLyndon,
                              NotMaximalRotation)
-from betahole.sequences import EpSequence, is_in_Q
+from betahole.sequences import EpSequence, is_in_Q, lex_compare_ep
 from betahole.numeric import BetaSpec
 from betahole import bifurcation as B
 from betahole import numeric as N
@@ -36,6 +37,41 @@ def test_in_E_zero():
     assert not B.in_E_zero(E("011(0)"), E("(10)"))  # shift 11(0) above alpha
     with pytest.raises(NotInQ):
         B.in_E_zero(E("(0)"), E("(01)"))
+
+
+def in_E_zero_loop(t, alpha):
+    """Reference: t has a 0-tail, and each shift before the tail lies at
+    or above t and strictly below alpha."""
+    if not t.is_zero_tail():
+        return False
+    for k in range(len(t.pre)):
+        s = t.shift(k)
+        if lex_compare_ep(t, s) > 0 or lex_compare_ep(s, alpha) >= 0:
+            return False
+    return True
+
+
+def test_in_E_zero_matches_the_shift_loop():
+    """The Lyndon test on the preperiod plus admissibility decides E0
+    exactly as the shift loop does: every t = w0^inf with |w| <= 10, and
+    eventually periodic t without a 0-tail, against six alpha in Q."""
+    alphas = [E(a) for a in ("(1)", "(110)", "(10)", "1(10)", "(100)",
+                             "(1110)")]
+    assert all(is_in_Q(a) for a in alphas)
+    ts = [EpSequence("".join(w), "0") for n in range(11)
+          for w in product("01", repeat=n)]
+    assert len(ts) == 2047
+    ts += [EpSequence("".join(pre), "".join(per))
+           for n in range(4) for pre in product("01", repeat=n)
+           for m in range(1, 4) for per in product("01", repeat=m)
+           if per != ("0",) * m]
+    members = 0
+    for t in ts:
+        for a in alphas:
+            got = B.in_E_zero(t, a)
+            assert got == in_E_zero_loop(t, a), (t, a)
+            members += got
+    assert 0 < members < len(ts) * len(alphas)
 
 
 def test_basic_interval_golden():
@@ -72,13 +108,16 @@ def test_left_endpoint_of_every_generator_is_in_Q():
 
 
 def test_farey_interval():
-    rec = B.farey_interval("10")
+    rec = B.basic_interval("10")
     assert rec.kind == "farey"
-    rec = B.farey_interval("110")
+    B.require_farey_generator("110")
+    rec = B.basic_interval("110")
+    # (f2): the Lyndon rotation of a Farey generator is its reversal
+    assert rec.lyndon == "011"
     assert rec.alpha_R == EpSequence(W.plus("110"), "011")
     with pytest.raises(NotFareyReflection, match=r"^reflect\('1100'\) = "
                        r"'0011' is not a non-degenerate Farey word$"):
-        B.farey_interval("1100")
+        B.require_farey_generator("1100")
 
 
 def test_classify_isolated():
@@ -104,7 +143,6 @@ def test_classify_isolated_at_interval_endpoints():
 def test_classify_isolated_consistency_with_approximants():
     """Above beta_R the periodic point is approached from above by the
     block-concatenation approximants, hence not isolated."""
-    from betahole.sequences import lex_compare_ep
     beta = BetaSpec.parse("1.99")
     assert B.classify_isolated("01", beta) == "not_isolated"
     digits = beta.alpha_prefix(48)

@@ -5,8 +5,9 @@ from math import gcd
 
 import pytest
 
-from betahole.errors import NotFareyReflection
+from betahole.errors import FinitenessCertificateFailed, NotFareyReflection
 from betahole.sequences import EpSequence, lex_compare_ep
+from betahole.survivor import LexSubshift, compile
 from betahole.numeric import BetaSpec, beta_from_alpha, float_up, project
 from betahole import critical as C
 from betahole import bifurcation as B
@@ -66,6 +67,26 @@ def test_z_set_finite_for_generators_up_to_8():
         assert 2 <= len(members) < 10000
 
 
+def test_cycle_structure_reads_each_bare_cycle_once():
+    # 0 -0-> 1 -1-> 0: each state's word is the cycle read from it
+    assert C._cycle_structure([(1, None), (None, 0)]) == \
+        ({0, 1}, {0: "01", 1: "10"})
+    # a transient state 0 into the self-loop at 1; state 2 dies
+    assert C._cycle_structure([(1, 2), (1, None), (None, None)]) == \
+        ({0, 1}, {1: "0"})
+
+
+def test_cycle_structure_rejects_a_class_that_is_not_a_bare_cycle():
+    # the golden-mean shift: its recurrent class branches
+    golden = compile(LexSubshift(E("(0)"), E("(10)")))
+    with pytest.raises(FinitenessCertificateFailed, match="bare cycles"):
+        C._cycle_structure(golden)
+    # the bare cycle 0 -> 1 -> 0, whose state 1 also enters the live
+    # self-loop at 2
+    with pytest.raises(FinitenessCertificateFailed, match="bare cycles"):
+        C._cycle_structure([(1, None), (0, 2), (2, None)])
+
+
 def test_z_set_rejects_non_farey():
     with pytest.raises(NotFareyReflection, match=r"^reflect\('1100'\) = "
                        r"'0011' is not a non-degenerate Farey word$"):
@@ -112,7 +133,7 @@ def test_t_n_family_increasing():
 
 def test_t_n_admissible_inside_interval():
     from betahole.sequences import is_admissible
-    rec = B.farey_interval("10")
+    rec = B.basic_interval("10")
     for n in range(1, 6):
         t = C.t_n_family("10", n)
         assert is_admissible(t, rec.alpha_R)

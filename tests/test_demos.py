@@ -1,11 +1,17 @@
-"""The demos in demos/ run with the arguments the README gives them."""
+"""The demos in demos/ and the README's command lines run as the README
+gives them."""
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+
+from betahole.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,3 +28,24 @@ def test_demo_runs(args):
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()
+
+
+def readme_command_lines():
+    """The `betahole ...` lines of the README's command-line block, each
+    cut where its description (two or more spaces on) or a redirection
+    starts."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [re.split(r"\s{2,}| > ", line)[0]
+            for line in block.splitlines() if line.startswith("betahole ")]
+
+
+def test_readme_lists_twelve_command_lines():
+    assert len(readme_command_lines()) == 12
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_readme_command_line_runs(line):
+    r = CliRunner().invoke(main, shlex.split(line)[1:])
+    assert r.exit_code == 0, r.stderr
+    assert r.stdout.strip()

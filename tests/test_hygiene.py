@@ -143,19 +143,32 @@ def test_no_decimal_in_package():
     assert found == []
 
 
-def test_only_sequences_enumerates_shifts():
-    # "every shift against a bound" is decided by extreme_shifts, so the
-    # order of shifts is known to one module
+def method_calls(name, allowed):
+    """file:line of every call of a method called `name` in a package
+    module that is not in `allowed`."""
     found = []
     for path in sorted(PKG.glob("*.py")):
-        if path.name == "sequences.py":
+        if path.name in allowed:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "shifts"]
-    assert found == []
+                  and node.func.attr == name]
+    return found
+
+
+def test_only_sequences_enumerates_shifts():
+    # "every shift against a bound" is decided by extreme_shifts, so the
+    # order of shifts is known to one module
+    assert method_calls("shifts", {"sequences.py"}) == []
+
+
+def test_only_sequences_and_survivor_shift_a_sequence():
+    # a rule on the shifts of a sequence is stated once, through
+    # extreme_shifts; survivor.reduce_upper keeps its own shift until a
+    # normaliser of the bounds subsumes it
+    assert method_calls("shift", {"sequences.py", "survivor.py"}) == []
 
 
 def test_no_libm_rounding_calls_in_package():

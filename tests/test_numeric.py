@@ -432,6 +432,17 @@ def test_betaspec_parsing():
         BetaSpec.parse("0.9")
 
 
+def test_printed_labels():
+    # str is the base's label, which tau_json prints; repr wraps it, as in
+    # a printed TauReport
+    for text, label in [("1.5", "1.5"), ("@(110)", "@(110)"),
+                        ("@1(10)", "@1(10)"), ("2", "2.0"),
+                        ("1.1234567890123456789", "1.1234567890123457")]:
+        assert str(BetaSpec.parse(text)) == label, text
+        assert repr(BetaSpec.parse(text)) == "BetaSpec(%s)" % label, text
+    assert repr(Interval(1, 2)) == "Interval(1, 2)"
+
+
 def test_alpha_prefix_numeric():
     b = BetaSpec.parse("1.7")
     digits = b.alpha_prefix(20)

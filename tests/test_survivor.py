@@ -228,6 +228,13 @@ def test_reduce_upper_leaves_full_shift_alone():
     assert reduce_upper(sh) is sh
 
 
+def test_reduce_upper_leaves_a_non_strict_bound_alone():
+    # the strict bound (10)^inf would collapse (see above); a non-strict
+    # one is already what reduce_upper returns
+    sh = LexSubshift(E("(01)"), E("(10)"), strict_upper=False)
+    assert reduce_upper(sh) is sh
+
+
 def test_membership():
     assert membership(E("(0)"), GOLDEN_MEAN)
     assert membership(E("10(0)"), GOLDEN_MEAN)

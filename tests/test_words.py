@@ -84,8 +84,11 @@ def test_lyndon_words_match_is_lyndon_filter_up_to_14():
 def test_rotation_extremes():
     assert W.lyndon_rotation("10") == ("01", 1)
     assert W.max_rotation("0011") == "1100"
-    with pytest.raises(PeriodicWord):
-        W.max_rotation("0101")
+    for w in ("0101", "1010"):
+        with pytest.raises(PeriodicWord):
+            W.max_rotation(w)
+        with pytest.raises(PeriodicWord):
+            W.lyndon_rotation(w)
 
 
 @given(words_st)
@@ -202,6 +205,23 @@ def test_standard_factorization():
         W.standard_factorization("0")
     with pytest.raises(NotFarey):
         W.standard_factorization("0011")
+
+
+def test_one_non_degenerate_farey_check():
+    """standard_factorization and check_palindrome_property raise the same
+    errors; a degenerate word raises a NotFarey too."""
+    assert issubclass(DegenerateFarey, NotFarey)
+    for check in (W.require_farey, W.standard_factorization,
+                  W.check_palindrome_property):
+        for w in ("0", "1"):
+            with pytest.raises(DegenerateFarey,
+                               match=r"^degenerate Farey word: '%s'$" % w):
+                check(w)
+        with pytest.raises(NotFarey, match=r"^not a Farey word: '0011'$"):
+            check("0011")
+        with pytest.raises(ValueError):
+            check("012")
+    assert W.require_farey("0010101") is None
 
 
 def test_factorization_concatenates():
