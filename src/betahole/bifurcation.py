@@ -8,13 +8,13 @@ comparisons are done on those sequences, which is exact because
 beta -> alpha(beta) is an order isomorphism.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import (CertificateFailed, NotFareyReflection, NotInQ,
+from .errors import (CertificateFailed, NotFarey, NotFareyReflection,
                      NotLyndon, NotMaximalRotation)
-from .sequences import (EpSequence, extreme_shifts, is_admissible, is_in_Q,
-                        lex_compare_ep)
+from .sequences import (EpSequence, extreme_shifts, is_admissible,
+                        lex_compare_ep, require_in_Q)
 from .numeric import BetaSpec, Interval
 from . import words as W
 from . import numeric as N
@@ -23,8 +23,7 @@ from . import numeric as N
 def in_E_plus(t, alpha):
     """t belongs to the bifurcation set E+: every shift of t lies between
     t itself (non-strict) and alpha (strict)."""
-    if not is_in_Q(alpha):
-        raise NotInQ("upper bound must be an expansion of 1")
+    require_in_Q(alpha)
     least, greatest = extreme_shifts(t)
     return least == t and lex_compare_ep(greatest, alpha) < 0
 
@@ -37,14 +36,12 @@ def in_E_zero(t, alpha):
     each proper suffix, so w is Lyndon (Lothaire, Combinatorics on Words,
     ch. 5).  Every shift past w is 0^inf < alpha, so "sigma^k t < alpha
     for k < |w|" is Parry admissibility."""
-    if not is_in_Q(alpha):
-        raise NotInQ("upper bound must be an expansion of 1")
+    require_in_Q(alpha)
     return t.is_zero_tail() and (not t.pre or W.is_lyndon(t.pre)) and \
         is_admissible(t, alpha)
 
 
-@dataclass(frozen=True)
-class IntervalRecord:
+class IntervalRecord(NamedTuple):
     generator: str
     lyndon: str
     alpha_L: EpSequence
@@ -74,8 +71,7 @@ def basic_interval(a):
     alpha_L = EpSequence("", a)
     s, _ = W.lyndon_rotation(a)
     alpha_R = EpSequence(W.plus(a), s)
-    if not is_in_Q(alpha_R):
-        raise NotInQ("right endpoint sequence fails the shift condition")
+    require_in_Q(alpha_R)
     kind = "farey" if W.is_farey(W.reflect(a)) else "basic"
     return IntervalRecord(a, s, alpha_L, alpha_R, kind)
 
@@ -84,9 +80,11 @@ def require_farey_generator(a):
     """Raise NotFareyReflection unless reflect(a) is a non-degenerate
     Farey word."""
     r = W.reflect(a)
-    if r in ("0", "1") or not W.is_farey(r):
-        raise NotFareyReflection(
-            "reflect(%r) = %r is not a non-degenerate Farey word" % (a, r))
+    try:
+        W.require_farey(r)
+    except NotFarey:
+        raise NotFareyReflection("reflect(%r) = %r is not a non-degenerate "
+                                 "Farey word" % (a, r)) from None
 
 
 def classify_isolated(t_period, beta):
@@ -150,8 +148,7 @@ def nesting(recs):
     return sorted(pairs)
 
 
-@dataclass(frozen=True)
-class DoublingInterval:
+class DoublingInterval(NamedTuple):
     word: str
     q_L: Fraction
     q_R: Fraction

@@ -3,7 +3,7 @@ Z-set enumeration with a finiteness certificate, the t_N approximant
 family, left-endpoint emptiness, and the TauReport regimes.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CertificateFailed, FinitenessCertificateFailed
 from .sequences import EpSequence, extreme_shifts, lex_compare_ep
@@ -125,15 +125,14 @@ def t_diamond_sequence(a):
     return EpSequence("0" + W.plus(a)[1:], "0")
 
 
-@dataclass
-class TauReport:
+class TauReport(NamedTuple):
     beta: object
     regime: str
     tau_lower: float
     tau_upper: float
-    witnesses: dict = field(default_factory=dict)
-    atlas_depth: int = 0
-    certified: bool = True
+    witnesses: dict
+    atlas_depth: int
+    certified: bool
     note: str = ""
 
 

@@ -16,7 +16,7 @@ undecided.
 import math
 from fractions import Fraction
 
-from .errors import NotInQ, OutOfRange
+from .errors import OutOfRange
 from .sequences import EpSequence
 from . import sequences as S
 
@@ -278,8 +278,7 @@ def beta_from_alpha(alpha):
     Newton steps whose precision doubles up to ROOT_BITS + 8 bits, plus one
     there.  Signs of F at g, the nearest multiple of 2^-ROOT_BITS, and next
     to g on beta's side certify lo; else (F' = 0 gives m = 0) bisect on."""
-    if not S.is_in_Q(alpha):
-        raise NotInQ("%s is not a quasi-greedy expansion of 1" % alpha)
+    S.require_in_Q(alpha)
     if alpha == S.ONES:
         return Interval(2)
     f = _sign_polynomial(alpha)
@@ -348,8 +347,7 @@ class BetaSpec:
         p/q takes minus the sign of F(p/q) * q^deg F (see _sign_polynomial):
         F(x) has the sign of pi_x(alpha) - 1, which falls as x grows.
         """
-        if not S.is_in_Q(alpha):
-            raise NotInQ("%s is not a quasi-greedy expansion of 1" % alpha)
+        S.require_in_Q(alpha)
         if self.symbolic:
             return S.lex_compare_ep(self.alpha, alpha)
         x = self.value.a

@@ -7,10 +7,11 @@ structural equality coincides with equality of the infinite sequences.
 
 from dataclasses import dataclass
 
+from .errors import NotInQ
 from . import words as W
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True)
 class EpSequence:
     pre: str
     per: str
@@ -99,6 +100,12 @@ def is_in_Q(a):
     """True iff a is the quasi-greedy expansion of 1 for some base in (1,2]:
     it does not end in zeros and dominates all of its shifts."""
     return not a.is_zero_tail() and extreme_shifts(a)[1] == a
+
+
+def require_in_Q(a):
+    """Raise NotInQ unless a is in Q (see is_in_Q)."""
+    if not is_in_Q(a):
+        raise NotInQ("%s is not a quasi-greedy expansion of 1" % a)
 
 
 def is_admissible(x, alpha):

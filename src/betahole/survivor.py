@@ -12,9 +12,9 @@ state holds, for each bound, the prefix lengths on which the word read so
 far ends, as the bits of an int.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import CertificateFailed, StateCapExceeded
 from .sequences import EpSequence, extreme_shifts, lex_compare_ep
@@ -28,8 +28,7 @@ STATE_CAP = 10 ** 6
 PERRON_TOL, PERRON_MAX_STEPS = 1e-9, 20000
 
 
-@dataclass(frozen=True)
-class LexSubshift:
+class LexSubshift(NamedTuple):
     lower: EpSequence
     upper: EpSequence
     strict_lower: bool = False
@@ -180,8 +179,7 @@ def count_words(shift, n):
     return sum(v)
 
 
-@dataclass
-class EntropyBracket:
+class EntropyBracket(NamedTuple):
     lower_bound: float
     upper_bound: float
     empty: bool = False
@@ -308,8 +306,7 @@ def alpha_bounds(beta, horizon=N.DEFAULT_HORIZON):
     return beta.alpha_sequence(), beta.alpha_prefix(horizon)
 
 
-@dataclass
-class DimensionReport:
+class DimensionReport(NamedTuple):
     h_lower: float
     h_upper: float
     dim_lower: float

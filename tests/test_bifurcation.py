@@ -39,6 +39,18 @@ def test_in_E_zero():
         B.in_E_zero(E("(0)"), E("(01)"))
 
 
+def test_one_in_Q_check():
+    # every library entry that takes an alpha raises the same NotInQ
+    bad = E("(01)")
+    for call in [lambda: N.beta_from_alpha(bad),
+                 lambda: BetaSpec.parse("1.5").compare(bad),
+                 lambda: B.in_E_plus(E("(0)"), bad),
+                 lambda: B.in_E_zero(E("(0)"), bad)]:
+        with pytest.raises(NotInQ, match=r"^\(01\) is not a quasi-greedy "
+                           r"expansion of 1$"):
+            call()
+
+
 def in_E_zero_loop(t, alpha):
     """Reference: t has a 0-tail, and each shift before the tail lies at
     or above t and strictly below alpha."""
@@ -118,6 +130,9 @@ def test_farey_interval():
     with pytest.raises(NotFareyReflection, match=r"^reflect\('1100'\) = "
                        r"'0011' is not a non-degenerate Farey word$"):
         B.require_farey_generator("1100")
+    with pytest.raises(NotFareyReflection, match=r"^reflect\('1'\) = "
+                       r"'0' is not a non-degenerate Farey word$"):
+        B.require_farey_generator("1")
 
 
 def test_classify_isolated():

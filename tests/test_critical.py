@@ -7,7 +7,8 @@ import pytest
 
 from betahole.errors import FinitenessCertificateFailed, NotFareyReflection
 from betahole.sequences import EpSequence, lex_compare_ep
-from betahole.survivor import LexSubshift, compile
+from betahole.survivor import (LexSubshift, PointSpec, compile, dimension,
+                               entropy)
 from betahole.numeric import BetaSpec, beta_from_alpha, float_up, project
 from betahole import critical as C
 from betahole import bifurcation as B
@@ -335,3 +336,14 @@ def test_gap_lower_bound_never_exceeds_tau():
     assert Fraction(rep.tau_lower) <= t_star.a
     printed = C.tau_json(rep, 17)["tau_lower"]
     assert Fraction(printed) <= Fraction(C.tau_json(deep, 17)["tau_lower"])
+
+
+def test_reports_are_immutable():
+    # a report is a value: no caller can move a bound it printed
+    beta = BetaSpec.parse("@(110)")
+    for rep, name in [(C.tau_report(beta), "tau_lower"),
+                      (dimension(beta, PointSpec(value="0.1")), "dim_lower"),
+                      (entropy(LexSubshift(E("(0)"), E("(10)"))),
+                       "lower_bound")]:
+        with pytest.raises(AttributeError):
+            setattr(rep, name, 0.0)
