@@ -152,8 +152,8 @@ def test_no_decimal_in_package():
 
 
 def test_only_sequences_imports_dataclasses():
-    # result records are NamedTuples, whose class statement generates no
-    # methods at import; EpSequence stays a frozen dataclass, since its
+    # result records are NamedTuples, so no dataclass methods are generated
+    # at import; EpSequence stays a frozen dataclass, since its
     # __post_init__ builds the canonical form that a tuple's _make and
     # _replace would skip
     assert module_imports("dataclasses", {"sequences.py"}) == []
