@@ -8,8 +8,8 @@ from .words import (plus, reflect, is_lyndon, lyndon_rotation,
 from .sequences import (EpSequence, lex_compare_ep, is_in_Q, is_admissible)
 from .numeric import (BetaSpec, beta_from_alpha, alpha_of_beta,
                       greedy_digits, quasi_greedy_digits, project)
-from .survivor import (LexSubshift, PointSpec, reduce_upper, compile,
-                       count_words, entropy, dimension, membership)
+from .survivor import (LexSubshift, PointSpec, compile, count_words,
+                       entropy, dimension, membership)
 from .bifurcation import (in_E_plus, in_E_zero, basic_interval,
                           classify_isolated, nesting_relation,
                           doubling_interval, phi, atlas)

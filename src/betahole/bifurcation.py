@@ -13,19 +13,19 @@ from typing import NamedTuple
 
 from .errors import (CertificateFailed, NotFarey, NotFareyReflection,
                      NotLyndon, NotMaximalRotation)
-from .sequences import (EpSequence, extreme_shifts, is_admissible,
-                        lex_compare_ep, require_in_Q)
+from .sequences import (EpSequence, is_admissible, lex_compare_ep,
+                        require_in_Q)
 from .numeric import BetaSpec, Interval
+from .survivor import LexSubshift, membership
 from . import words as W
 from . import numeric as N
 
 
 def in_E_plus(t, alpha):
-    """t belongs to the bifurcation set E+: every shift of t lies between
-    t itself (non-strict) and alpha (strict)."""
+    """t belongs to the bifurcation set E+: t survives its own hole, so
+    t <= sigma^n(t) < alpha for all n >= 0."""
     require_in_Q(alpha)
-    least, greatest = extreme_shifts(t)
-    return least == t and lex_compare_ep(greatest, alpha) < 0
+    return membership(t, LexSubshift(t, alpha))
 
 
 def in_E_zero(t, alpha):

@@ -64,7 +64,8 @@ def _enumerate_paths(trans, live, in_cycle):
 
 def z_set(a):
     """All sequences whose every shift lies between s0^infinity and
-    (a)^infinity (both bounds inclusive), s the Lyndon rotation of a.
+    (a)^infinity, both inclusive (the closure that `compile` builds of
+    that LexSubshift), s the Lyndon rotation of a.
 
     Finite for every generator whose reflection is Farey; the finiteness
     certificate (recurrent classes are bare cycles on the rotation orbit
@@ -72,9 +73,7 @@ def z_set(a):
     """
     B.require_farey_generator(a)
     s, _ = W.lyndon_rotation(a)
-    shift = LexSubshift(EpSequence(s, "0"), EpSequence("", a),
-                        strict_lower=False, strict_upper=False)
-    trans = compile(shift)
+    trans = compile(LexSubshift(EpSequence(s, "0"), EpSequence("", a)))
     live, in_cycle = _cycle_structure(trans)
     rots = set(W.rotations(a))
     for word in in_cycle.values():

@@ -2,10 +2,9 @@
 
 A LexSubshift is the set of one-sided 0/1 sequences x with
 
-    lower <= sigma^n(x) < upper      for all n >= 0
+    lower <= sigma^n(x) < upper      for all n >= 0,
 
-(with the strictness of each bound configurable; only `membership` and
-`reduce_upper` read it).  `compile` builds the DFA of its closure, both
+which `membership` decides.  `compile` builds the DFA of its closure, both
 bounds inclusive, as a transition list, one (digit 0, digit 1) successor
 pair per state with None where the digit dies and state 0 the start.  A
 state holds, for each bound, the prefix lengths on which the word read so
@@ -31,37 +30,14 @@ PERRON_TOL, PERRON_MAX_STEPS = 1e-9, 20000
 class LexSubshift(NamedTuple):
     lower: EpSequence
     upper: EpSequence
-    strict_lower: bool = False
-    strict_upper: bool = True
-
-
-def reduce_upper(shift):
-    """Replace a strict upper bound alpha by an equivalent non-strict one.
-
-    If alpha_m = 1 and sigma^m(alpha) <= lower for some m, no legal
-    sequence can follow alpha past position m, so the strict bound alpha
-    equals the non-strict bound (alpha_1...alpha_m^-)^infinity.  Returns
-    the input unchanged when no such m exists.
-    """
-    if not shift.strict_upper:
-        return shift
-    a = shift.upper
-    for m in range(1, a.window + 1):
-        if a.digit(m - 1) == "1" and \
-                lex_compare_ep(a.shift(m), shift.lower) <= 0:
-            w = a.prefix(m)
-            new_upper = EpSequence("", w[:-1] + "0")
-            return LexSubshift(shift.lower, new_upper,
-                               shift.strict_lower, False)
-    return shift
 
 
 def compile(shift):
     """The DFA over {0,1} whose length-n path count from state 0 equals
     the number of words passing every suffix-window check against the two
-    bounds, both inclusive whatever the strictness flags say (the closure
-    of the subshift), as its transition list: entry s is the pair (state
-    after digit 0, state after digit 1), None where that digit dies.
+    bounds, both inclusive (the closure of the subshift), as its
+    transition list: entry s is the pair (state after digit 0, state
+    after digit 1), None where that digit dies.
 
     A state is a pair of ints (lo, up): bit i is set when the word read
     so far ends on the first i digits of that bound, with positions
@@ -263,12 +239,11 @@ def entropy(shift):
 
 
 def membership(x, shift):
-    """Exact symbolic test that every shift of x satisfies both bounds."""
+    """Exact symbolic test that x lies in the subshift: every shift of x
+    is at or above its lower bound and below its upper bound."""
     least, greatest = extreme_shifts(x)
-    lo = lex_compare_ep(least, shift.lower)
-    up = lex_compare_ep(greatest, shift.upper)
-    return (lo > 0 if shift.strict_lower else lo >= 0) and \
-        (up < 0 if shift.strict_upper else up <= 0)
+    return lex_compare_ep(least, shift.lower) >= 0 and \
+        lex_compare_ep(greatest, shift.upper) < 0
 
 
 class PointSpec:

@@ -1,12 +1,13 @@
 """Critical hole size: Z-sets, approximants, emptiness, tau regimes."""
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 
 from betahole.errors import FinitenessCertificateFailed, NotFareyReflection
-from betahole.sequences import EpSequence, lex_compare_ep
+from betahole.sequences import EpSequence, extreme_shifts, lex_compare_ep
 from betahole.survivor import (LexSubshift, PointSpec, compile, dimension,
                                entropy)
 from betahole.numeric import BetaSpec, beta_from_alpha, float_up, project
@@ -66,6 +67,28 @@ def test_z_set_finite_for_generators_up_to_8():
     for a in farey_generators(8):
         members = C.z_set(a)   # raises FinitenessCertificateFailed if not
         assert 2 <= len(members) < 10000
+
+
+def test_z_set_is_every_short_sequence_between_its_bounds():
+    """z_set(a) is complete, through compile's inclusive closure: for
+    each Farey generator a of length <= 5 it is exactly the set of
+    sequences with |pre| <= 7 and |per| <= 5 whose least shift is at or
+    above s0^inf and whose greatest shift is at or below (a)^inf, s the
+    Lyndon rotation of a."""
+    def words(lo, hi):
+        return ["".join(bits) for n in range(lo, hi + 1)
+                for bits in product("01", repeat=n)]
+
+    pool = {EpSequence(pre, per) for pre in words(0, 7)
+            for per in words(1, 5)}
+    extremes = [(x, *extreme_shifts(x)) for x in pool]
+    for a in farey_generators(5):
+        lower = EpSequence(W.lyndon_rotation(a)[0], "0")
+        upper = EpSequence("", a)
+        expected = {x for x, least, greatest in extremes
+                    if lex_compare_ep(least, lower) >= 0
+                    and lex_compare_ep(greatest, upper) <= 0}
+        assert set(C.z_set(a)) == expected, a
 
 
 def test_cycle_structure_reads_each_bare_cycle_once():

@@ -1,5 +1,5 @@
-"""The demos in demos/ and the README's command lines run as the README
-gives them."""
+"""The demos in demos/, the README's command lines and its Quick start
+block run as the README gives them."""
 
 import os
 import re
@@ -49,3 +49,20 @@ def test_readme_command_line_runs(line):
     r = CliRunner().invoke(main, shlex.split(line)[1:])
     assert r.exit_code == 0, r.stderr
     assert r.stdout.strip()
+
+
+def test_readme_quick_start_runs():
+    """The README's ```python Quick start block prints a dim bracket and
+    an inside_farey_low TauReport."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Quick start", 1)[1].split("```python", 1)[1]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", block.split("```", 1)[0]],
+                         env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    bracket, report = out.stdout.splitlines()
+    lower, upper = map(float, bracket.split())
+    assert 0 < lower <= upper < 1
+    assert report.startswith("TauReport(")
+    assert "regime='inside_farey_low'" in report

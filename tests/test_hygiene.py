@@ -180,11 +180,10 @@ def test_only_sequences_enumerates_shifts():
     assert method_calls("shifts", {"sequences.py"}) == []
 
 
-def test_only_sequences_and_survivor_shift_a_sequence():
+def test_only_sequences_shifts_a_sequence():
     # a rule on the shifts of a sequence is stated once, through
-    # extreme_shifts; survivor.reduce_upper keeps its own shift until a
-    # normaliser of the bounds subsumes it
-    assert method_calls("shift", {"sequences.py", "survivor.py"}) == []
+    # extreme_shifts
+    assert method_calls("shift", {"sequences.py"}) == []
 
 
 def test_no_libm_rounding_calls_in_package():

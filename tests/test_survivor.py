@@ -12,7 +12,7 @@ from mpmath.libmp import to_rational
 
 from betahole.sequences import EpSequence, is_in_Q, lex_compare_ep
 from betahole.survivor import (LexSubshift, PointSpec, compile, count_words,
-                               dimension, entropy, membership, reduce_upper)
+                               dimension, entropy, membership)
 from betahole.numeric import BetaSpec, beta_from_alpha
 from betahole import numeric as N
 from betahole import survivor as S
@@ -190,49 +190,6 @@ def test_counting_upper_bounds_nest():
     bounds = [math.log2(c[n - 1]) / n for n in range(1, 13)]
     running = [min(bounds[:k + 1]) for k in range(len(bounds))]
     assert running == sorted(running, reverse=True)
-
-
-def test_reduce_upper_fires_and_preserves_counts():
-    # upper (10)^inf with lower (01)^inf: sigma(alpha) = (01)^inf <= lower,
-    # so the strict bound collapses to the non-strict cycle (10^-) = (10)...
-    fired = 0
-    rng = random.Random(99)
-    candidates = [LexSubshift(E("(01)"), E("(10)")),
-                  LexSubshift(E("01(10)"), E("(10)")),
-                  LexSubshift(E("(100)"), E("(101)")),
-                  LexSubshift(E("(0011)"), E("(1100)"))]
-    # the reduction is justified when the upper bound is an expansion of 1
-    from betahole.sequences import is_in_Q
-    candidates += [sh for sh in (random_subshift(rng) for _ in range(60))
-                   if is_in_Q(sh.upper)]
-    for sh in candidates:
-        red = reduce_upper(sh)
-        if red is sh:
-            continue
-        fired += 1
-        assert not red.strict_upper
-        for n in range(1, 11):
-            assert count_words_brute(sh, n) >= 0  # both sides defined
-        # the reduction claims equal survivor sets; spot-check membership
-        # of all short periodic sequences
-        for per in ["0", "1", "01", "10", "001", "011", "010", "110"]:
-            x = EpSequence("", per)
-            assert membership(x, sh) == membership(x, red), (sh, per)
-    assert fired >= 2
-
-
-def test_reduce_upper_leaves_full_shift_alone():
-    assert reduce_upper(FULL) is FULL
-    # beta=2 with lower (10)^inf: m=1 needs sigma(1^inf) <= (10)^inf, false
-    sh = LexSubshift(E("(10)"), E("(1)"))
-    assert reduce_upper(sh) is sh
-
-
-def test_reduce_upper_leaves_a_non_strict_bound_alone():
-    # the strict bound (10)^inf would collapse (see above); a non-strict
-    # one is already what reduce_upper returns
-    sh = LexSubshift(E("(01)"), E("(10)"), strict_upper=False)
-    assert reduce_upper(sh) is sh
 
 
 def test_membership():
@@ -456,13 +413,10 @@ def test_bitmask_automaton_matches_frozenset_reference(monkeypatch):
     """The bit-parallel kernel builds the same transitions, in the same
     state numbering, as the frozenset construction, and recurrence
     finds the same live states and the same components in the same order:
-    on seeded random shifts with every pair of strictness flags, and on
-    every shift that 32-sample dimension sweeps compile."""
+    on 800 seeded random shifts, and on every shift that 32-sample
+    dimension sweeps compile."""
     rng = random.Random(1992)
-    shifts = []
-    for k in range(800):
-        sh = random_subshift(rng)
-        shifts.append(LexSubshift(sh.lower, sh.upper, k % 2 == 1, k % 4 > 1))
+    shifts = [random_subshift(rng) for _ in range(800)]
     build = S.compile
     monkeypatch.setattr(S, "compile",
                         lambda shift: shifts.append(shift) or build(shift))
