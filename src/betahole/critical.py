@@ -7,7 +7,6 @@ from typing import NamedTuple
 
 from .errors import CertificateFailed, FinitenessCertificateFailed
 from .sequences import EpSequence, extreme_shifts, lex_compare_ep
-from .survivor import LexSubshift, compile, recurrence
 from . import bifurcation as B
 from . import sequences as S
 from . import words as W
@@ -15,72 +14,41 @@ from . import numeric as N
 from .numeric import fixed, float_down, float_up
 
 
-def _cycle_structure(trans):
-    """Certify that the live part of the automaton carries only finitely
-    many infinite paths, and return (live, cycle_info); raise
-    FinitenessCertificateFailed where the certificate fails.
-
-    The certificate: every recurrent class is a simple cycle with no exit
-    edges into the live part, so an infinite path consists of a finite
-    transient prefix followed by one committed cycle.  Each class is
-    walked once from comp[0], and every state on the walk must have
-    exactly one live successor, inside the class.  The states reachable
-    from comp[0] are then exactly the walk's, so a strongly connected
-    class that passes is the walk's cycle.  cycle_info maps each cycle
-    state to the rotation of the cycle's word that starts there.
-    """
-    live, cycles = recurrence(trans)
-    in_cycle = {}
-    for comp in cycles:
-        cset = set(comp)
-        word, order, s = "", [], comp[0]
-        for _ in comp:
-            outs = [(d, t) for d, t in enumerate(trans[s]) if t in live]
-            if len(outs) != 1 or outs[0][1] not in cset:
-                raise FinitenessCertificateFailed(
-                    "recurrent part is not a union of bare cycles")
-            order.append(s)
-            word += str(outs[0][0])
-            s = outs[0][1]
-        for i, s in enumerate(order):
-            in_cycle[s] = word[i:] + word[:i]
-    return live, in_cycle
-
-
-def _enumerate_paths(trans, live, in_cycle):
-    """All infinite-path labels: finite transient prefixes into cycles."""
-    out = set()
-    stack = [(0, "")]
-    while stack:
-        s, prefix = stack.pop()
-        if s in in_cycle:
-            out.add(EpSequence(prefix, in_cycle[s]))
-            continue
-        for d, t in enumerate(trans[s]):
-            if t is not None and t in live:
-                stack.append((t, prefix + str(d)))
-    return sorted(out, key=lambda e: (e.pre, e.per))
-
-
 def z_set(a):
     """All sequences whose every shift lies between s0^infinity and
-    (a)^infinity, both inclusive (the closure that `compile` builds of
-    that LexSubshift), s the Lyndon rotation of a.
+    (a)^infinity, both inclusive, s the Lyndon rotation of a: the q = |a|
+    rotations r of a, as (r)^infinity, in increasing order.
 
-    Finite for every generator whose reflection is Farey; the finiteness
-    certificate (recurrent classes are bare cycles on the rotation orbit
-    of a) is checked, not assumed.
+    Certificate: the last digits of the sorted rotations, read in order,
+    must read 1...10...0 (no "01"), else FinitenessCertificateFailed.
+    This is the Burrows-Wheeler form that Mantaci, Restivo and Sciortino
+    (IPL 86, 2003) show belongs to Christoffel classes, so it never fires
+    once reflect(a) is Farey; a is then primitive and its own greatest
+    rotation, since a Farey word is Lyndon.  The proof below uses only
+    that and the checked condition, not the citation.
+
+    (1) Every shift y of a member is >= s^inf.  If s0^inf <= y < s^inf,
+    y starts with s, and sigma^q y falls in the same range (it is a
+    shift, and y = s sigma^q y < s s^inf); so y = s^inf, a contradiction.
+    (2) The orbit {(r)^inf} lies in range, and nothing else does.  sigma
+    maps the orbit points that start with d, in order, onto those whose
+    rotation ends in d; by the checked order, it maps the 1-cylinder onto
+    the bottom block of the orbit and the 0-cylinder onto the top block.
+    A member y outside the orbit lies in [s^inf, (a)^inf] by (1), so
+    strictly between two consecutive orbit points that share k digits.
+    While they share a first digit, sigma takes them to consecutive orbit
+    points with sigma y still strictly between, so sigma^k y lies strictly
+    between the greatest orbit point that starts with 0 and the least
+    that starts with 1.  If sigma^k y starts with 0, sigma^(k+1) y lies
+    above the top of the top block, (a)^inf; if with 1, below the bottom
+    of the bottom block, s^inf.  Either contradicts membership.
     """
     B.require_farey_generator(a)
-    s, _ = W.lyndon_rotation(a)
-    trans = compile(LexSubshift(EpSequence(s, "0"), EpSequence("", a)))
-    live, in_cycle = _cycle_structure(trans)
-    rots = set(W.rotations(a))
-    for word in in_cycle.values():
-        if word not in rots:
-            raise FinitenessCertificateFailed(
-                "recurrent cycle %r is not a rotation of %r" % (word, a))
-    return _enumerate_paths(trans, live, in_cycle)
+    rots = sorted(W.rotations(a))
+    if "01" in "".join(r[-1] for r in rots):
+        raise FinitenessCertificateFailed(
+            "sorted rotations of %r do not end in 1...10...0" % a)
+    return [EpSequence("", r) for r in rots]
 
 
 def verify_empty_at_left_endpoint(a):

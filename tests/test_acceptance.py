@@ -196,7 +196,7 @@ def test_criterion_09_left_endpoint_emptiness():
     ok = all(C.verify_empty_at_left_endpoint(a) for a in gens)
     for a in gens:
         for n in range(1, 6):
-            C.t_n_family(a, n)   # symbolic shift checks are internal asserts
+            C.t_n_family(a, n)   # raises CertificateFailed if a check fails
     report(9, ok, "survivor set empty at t = 1 - 1/gamma_L for %d "
                   "generators; t_N checks passed for N <= 5" % len(gens))
 

@@ -317,10 +317,11 @@ def test_phi_endpoint_identities_up_to_8():
         assert N.value_at(rec.alpha_R, 2) == 1 - d.q_L
 
 
-def test_in_E_plus_is_membership_in_own_subshift():
-    from betahole.survivor import LexSubshift, membership
+def test_in_E_plus_literal_answers_at_alpha_110():
+    # t is in E+ at alpha = (110) when t <= every shift of t < (110):
+    # (10) has the shift (01), 01(10) the shift (01), (100) the shift (001)
     trib = E("(110)")
-    for text in ["(0)", "(01)", "(10)", "01(10)", "(100)"]:
-        t = E(text)
-        assert B.in_E_plus(t, trib) == membership(
-            t, LexSubshift(t, trib))
+    answers = {"(0)": True, "(01)": True, "(10)": False, "01(10)": False,
+               "(100)": False}
+    for text, expected in answers.items():
+        assert B.in_E_plus(E(text), trib) is expected, text

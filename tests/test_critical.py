@@ -9,7 +9,7 @@ import pytest
 from betahole.errors import FinitenessCertificateFailed, NotFareyReflection
 from betahole.sequences import EpSequence, extreme_shifts, lex_compare_ep
 from betahole.survivor import (LexSubshift, PointSpec, compile, dimension,
-                               entropy)
+                               entropy, recurrence)
 from betahole.numeric import BetaSpec, beta_from_alpha, float_up, project
 from betahole import critical as C
 from betahole import bifurcation as B
@@ -66,7 +66,7 @@ def test_z_set_contains_the_generator_orbit():
 def test_z_set_finite_for_generators_up_to_8():
     for a in farey_generators(8):
         members = C.z_set(a)   # raises FinitenessCertificateFailed if not
-        assert 2 <= len(members) < 10000
+        assert len(members) == len(a), a
 
 
 def test_z_set_is_every_short_sequence_between_its_bounds():
@@ -91,24 +91,51 @@ def test_z_set_is_every_short_sequence_between_its_bounds():
         assert set(C.z_set(a)) == expected, a
 
 
-def test_cycle_structure_reads_each_bare_cycle_once():
-    # 0 -0-> 1 -1-> 0: each state's word is the cycle read from it
-    assert C._cycle_structure([(1, None), (None, 0)]) == \
-        ({0, 1}, {0: "01", 1: "10"})
-    # a transient state 0 into the self-loop at 1; state 2 dies
-    assert C._cycle_structure([(1, 2), (1, None), (None, None)]) == \
-        ({0, 1}, {1: "0"})
+def test_z_set_is_the_automaton_orbit():
+    """The survivor automaton of LexSubshift(s0^inf, (a)^inf), s the
+    Lyndon rotation of a, reads from its start state exactly the
+    rotations of a as its words of length |a| that end in a live state,
+    for every Farey generator a of length <= 24."""
+    for a in farey_generators(24):
+        s = W.lyndon_rotation(a)[0]
+        trans = compile(LexSubshift(EpSequence(s, "0"), EpSequence("", a)))
+        live, _ = recurrence(trans)
+        level = {"": 0}
+        for _ in a:
+            level = {w + str(d): t for w, u in level.items()
+                     for d, t in enumerate(trans[u]) if t in live}
+        assert set(level) == set(W.rotations(a)), a
+        assert [str(x) for x in C.z_set(a)] == \
+            ["(%s)" % r for r in sorted(level)], a
 
 
-def test_cycle_structure_rejects_a_class_that_is_not_a_bare_cycle():
-    # the golden-mean shift: its recurrent class branches
-    golden = compile(LexSubshift(E("(0)"), E("(10)")))
-    with pytest.raises(FinitenessCertificateFailed, match="bare cycles"):
-        C._cycle_structure(golden)
-    # the bare cycle 0 -> 1 -> 0, whose state 1 also enters the live
-    # self-loop at 2
-    with pytest.raises(FinitenessCertificateFailed, match="bare cycles"):
-        C._cycle_structure([(1, None), (0, 2), (2, None)])
+def test_z_set_certificate_fails_outside_christoffel_classes(monkeypatch):
+    monkeypatch.setattr(B, "require_farey_generator", lambda a: None)
+    for a in ("110100", "11100"):
+        with pytest.raises(FinitenessCertificateFailed,
+                           match="do not end in 1...10...0"):
+            C.z_set(a)
+
+
+def test_z_set_certificate_holds_exactly_on_farey_generators(monkeypatch):
+    """With the Farey check bypassed, the last-digit certificate passes
+    on a primitive word that is its own greatest rotation exactly when
+    its reflection is Farey, for every such word of length 2 to 12."""
+    monkeypatch.setattr(B, "require_farey_generator", lambda a: None)
+    checked = 0
+    for n in range(2, 13):
+        for bits in product("01", repeat=n):
+            w = "".join(bits)
+            if not W.is_aperiodic(w) or W.max_rotation(w) != w:
+                continue
+            try:
+                C.z_set(w)
+                passed = True
+            except FinitenessCertificateFailed:
+                passed = False
+            assert passed == W.is_farey(W.reflect(w)), w
+            checked += 1
+    assert checked == 745   # the binary Lyndon words of length 2 to 12
 
 
 def test_z_set_rejects_non_farey():

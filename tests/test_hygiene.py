@@ -11,6 +11,7 @@ from betahole import cli
 from betahole.numeric import Interval
 
 PKG = Path(betahole.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def run_python(code):
@@ -107,11 +108,11 @@ def test_no_assert_statements_in_package():
 
 
 def test_no_unused_imports():
-    # a name bound by an import must be read somewhere in its module
+    # a name bound by an import must be read somewhere in its module, in
+    # the package (whose __init__ re-exports) and in the tests
     found = []
-    for path in sorted(PKG.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    paths = [p for p in sorted(PKG.glob("*.py")) if p.name != "__init__.py"]
+    for path in paths + sorted(TESTS.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
@@ -120,8 +121,8 @@ def test_no_unused_imports():
                 for alias in node.names:
                     name = (alias.asname or alias.name).split(".")[0]
                     if name not in used:
-                        found.append("%s:%d %s" % (path.name, node.lineno,
-                                                   name))
+                        found.append("%s/%s:%d %s" % (
+                            path.parent.name, path.name, node.lineno, name))
     assert found == []
 
 

@@ -6,7 +6,6 @@ from fractions import Fraction
 from itertools import product
 
 import mpmath
-import pytest
 from mpmath import iv
 from mpmath.libmp import to_rational
 
