@@ -12,6 +12,7 @@ from . import sequences as S
 from . import words as W
 from . import numeric as N
 from .numeric import fixed, float_down, float_up
+from .survivor import LexSubshift, membership
 
 
 def z_set(a):
@@ -54,12 +55,13 @@ def z_set(a):
 def verify_empty_at_left_endpoint(a):
     """At beta = gamma_L and t = 1 - 1/beta the survivor set is empty.
 
-    The hole's lower bound is then a_m...a_1 0^infinity, so candidates are
-    exactly the (finite) Z-set; each member is certified to have a shift
-    equal to (a)^infinity (its period is a rotation of a), which the strict
-    upper bound excludes.
+    The hole's lower bound is then a_m...a_1 0^infinity, a_m...a_1 the
+    Lyndon rotation of a, so candidates are exactly the (finite) Z-set.
+    Every member has the shift (a)^infinity, which the strict upper bound
+    of the survivor subshift excludes, so membership rejects each one.
     """
-    return all(len(x.per) == len(a) and a in x.per * 2 for x in z_set(a))
+    shift = LexSubshift(EpSequence(a[::-1], "0"), EpSequence("", a))
+    return not any(membership(x, shift) for x in z_set(a))
 
 
 def t_n_family(a, n):

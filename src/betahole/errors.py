@@ -54,4 +54,4 @@ class CertificateFailed(BetaHoleError):
 
 
 class FinitenessCertificateFailed(CertificateFailed):
-    """The automaton certificate for finiteness of a bounded subshift failed."""
+    """The last digits of a z-set's sorted rotations do not read 1...10...0."""

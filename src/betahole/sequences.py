@@ -30,12 +30,6 @@ class EpSequence:
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "per", per)
 
-    def digit(self, i):
-        """Digit at 0-based position i."""
-        if i < len(self.pre):
-            return self.pre[i]
-        return self.per[(i - len(self.pre)) % len(self.per)]
-
     def prefix(self, n):
         k = len(self.pre)
         if n <= k:
@@ -113,5 +107,4 @@ def is_admissible(x, alpha):
     return lex_compare_ep(extreme_shifts(x)[1], alpha) < 0
 
 
-ZERO = EpSequence("", "0")
 ONES = EpSequence("", "1")

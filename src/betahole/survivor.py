@@ -12,7 +12,6 @@ far ends, as the bits of an int.
 """
 
 from fractions import Fraction
-from itertools import compress
 from typing import NamedTuple
 
 from .errors import CertificateFailed, StateCapExceeded
@@ -87,19 +86,15 @@ def compile(shift):
 
 
 def recurrence(trans):
-    """(live, cycles) of a transition list: the states with arbitrarily
-    long outgoing paths, and the strongly connected components that hold
-    a cycle.
+    """The strongly connected components of a transition list that hold
+    a cycle: two or more states, or one state with a self-loop.
 
     One iterative pass of Tarjan's algorithm from the start state 0,
-    which reaches every state.  Tarjan closes a component only after
-    every component it reaches, so a component is live when it holds
-    a cycle (two or more states, or a self-loop) or has an edge into
-    a live state.
+    which reaches every state.
     """
     # index 0 marks a state not yet visited
     index, low = [0] * len(trans), [0] * len(trans)
-    on_stack, live = bytearray(len(trans)), bytearray(len(trans))
+    on_stack = bytearray(len(trans))
     index[0] = low[0] = count = 1
     on_stack[0] = 1
     stack, work, cycles = [0], [(0, iter(trans[0]))], []
@@ -131,11 +126,7 @@ def recurrence(trans):
                     on_stack[s] = 0
                 if len(comp) > 1 or v in trans[v]:
                     cycles.append(comp)
-                    for s in comp:
-                        live[s] = 1
-                elif any(live[t] for t in trans[v] if t is not None):
-                    live[v] = 1
-    return set(compress(range(len(trans)), live)), cycles
+    return cycles
 
 
 def count_words(shift, n):
@@ -225,10 +216,12 @@ def entropy(shift):
     automaton, by one series for each end, rounded outward.
     """
     trans = compile(shift)
-    live, cycles = recurrence(trans)
-    if 0 not in live:
+    cycles = recurrence(trans)
+    # state 0 reaches every state, so it has arbitrarily long paths
+    # exactly when some component holds a cycle; the spectral radius is
+    # then at least 1
+    if not cycles:
         return EntropyBracket(0.0, 0.0, empty=True)
-    # a live start reaches a cycle, so the spectral radius is at least 1
     lam_lo = lam_hi = 1
     for comp in cycles:
         lo, hi = _scc_spectral_radius(trans, comp)

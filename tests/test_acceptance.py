@@ -7,7 +7,9 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from betahole.sequences import EpSequence, lex_compare_ep
+import pytest
+
+from betahole.sequences import EpSequence, extreme_shifts, lex_compare_ep
 from betahole.numeric import BetaSpec, Interval, beta_from_alpha, project
 from betahole.survivor import LexSubshift, PointSpec, count_words, dimension
 from betahole import bifurcation as B
@@ -199,6 +201,22 @@ def test_criterion_09_left_endpoint_emptiness():
             C.t_n_family(a, n)   # raises CertificateFailed if a check fails
     report(9, ok, "survivor set empty at t = 1 - 1/gamma_L for %d "
                   "generators; t_N checks passed for N <= 5" % len(gens))
+
+
+def test_criterion_09_fails_under_an_inclusive_upper_bound(monkeypatch):
+    """Criterion 09 tests the strict upper bound of the survivor set: with
+    a membership that lets a shift reach the upper bound, every z-set
+    member survives and the criterion fails."""
+    def inclusive(x, shift):
+        least, greatest = extreme_shifts(x)
+        return lex_compare_ep(least, shift.lower) >= 0 and \
+            lex_compare_ep(greatest, shift.upper) <= 0
+
+    monkeypatch.setattr(C, "membership", inclusive)
+    gens = [W.reflect(w) for w in W.farey_words(24) if w not in ("0", "1")]
+    assert not any(C.verify_empty_at_left_endpoint(a) for a in gens)
+    with pytest.raises(AssertionError, match="survivor set empty"):
+        test_criterion_09_left_endpoint_emptiness()
 
 
 def test_criterion_10_word_combinatorics():

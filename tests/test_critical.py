@@ -9,12 +9,13 @@ import pytest
 from betahole.errors import FinitenessCertificateFailed, NotFareyReflection
 from betahole.sequences import EpSequence, extreme_shifts, lex_compare_ep
 from betahole.survivor import (LexSubshift, PointSpec, compile, dimension,
-                               entropy, recurrence)
+                               entropy)
 from betahole.numeric import BetaSpec, beta_from_alpha, float_up, project
 from betahole import critical as C
 from betahole import bifurcation as B
 from betahole import numeric as N
 from betahole import words as W
+from test_survivor import reachable
 
 E = EpSequence.parse
 
@@ -99,7 +100,9 @@ def test_z_set_is_the_automaton_orbit():
     for a in farey_generators(24):
         s = W.lyndon_rotation(a)[0]
         trans = compile(LexSubshift(EpSequence(s, "0"), EpSequence("", a)))
-        live, _ = recurrence(trans)
+        reach = reachable(trans)
+        live = {q for q in range(len(trans))
+                if any(t in reach[t] for t in reach[q] | {q})}
         level = {"": 0}
         for _ in a:
             level = {w + str(d): t for w, u in level.items()
@@ -145,7 +148,9 @@ def test_z_set_rejects_non_farey():
 
 
 def test_verify_empty_at_left_endpoint():
-    for a in farey_generators(6):
+    gens = farey_generators(24)
+    assert len(gens) == 179
+    for a in gens:
         assert C.verify_empty_at_left_endpoint(a), a
 
 

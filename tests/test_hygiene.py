@@ -230,6 +230,45 @@ def test_no_unreferenced_private_functions():
     assert defined and [name for name in defined if name not in used] == []
 
 
+def test_no_unread_public_names():
+    # every public function, method and module constant that betahole
+    # does not export is read in src/, demos/ or bench/; a function that a
+    # decorator call registers (a click command) counts as read, and click
+    # itself calls the get_help_option hook
+    init = ast.parse((PKG / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for folder in ("src", "demos", "bench"):
+        for path in sorted((PKG.parents[1] / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and \
+                        not isinstance(node.ctx, ast.Store):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and \
+                        not isinstance(node.ctx, ast.Store):
+                    used.add(node.attr)
+    unread = []
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]
+        for scope in scopes:
+            for node in scope.body:
+                if isinstance(node, ast.FunctionDef) and not any(
+                        isinstance(d, ast.Call) for d in node.decorator_list):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign) and scope is tree:
+                    names = [t.id for target in node.targets
+                             for t in ast.walk(target)
+                             if isinstance(t, ast.Name)]
+                else:
+                    continue
+                unread += ["%s:%s" % (path.name, name) for name in names
+                           if not name.startswith("_") and
+                           name not in exported | used]
+    assert unread == ["cli.py:get_help_option"]
+
+
 def test_no_process_wide_caches_in_package():
     # a memo lives on the object it describes (BetaSpec keeps alpha(beta)
     # and log2 beta), so nothing a request computes outlives it

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from betahole.bifurcation import in_E_plus
 from betahole.errors import NotInQ
 from betahole.sequences import (EpSequence, extreme_shifts, lex_compare_ep,
-                                is_in_Q, is_admissible, ZERO, ONES)
+                                is_in_Q, is_admissible, ONES)
 from betahole.survivor import LexSubshift, membership
 from betahole.words import christoffel, reflect
 
@@ -51,13 +51,13 @@ def test_canonical_preserves_digits(pre, per):
 def test_shift_matches_digits(pre, per, n):
     s = EpSequence(pre, per)
     assert s.shift(n).prefix(12) == "".join(
-        s.digit(n + i) for i in range(12))
+        s.prefix(n + i + 1)[n + i] for i in range(12))
 
 
 def test_lex_compare_ep():
     assert lex_compare_ep(EpSequence("", "01"), EpSequence("", "10")) == -1
     assert lex_compare_ep(EpSequence("0", "10"), EpSequence("", "01")) == 0
-    assert lex_compare_ep(ONES, ZERO) == 1
+    assert lex_compare_ep(ONES, EpSequence("", "0")) == 1
 
 
 @given(pre_st, per_st, pre_st, per_st)

@@ -147,27 +147,37 @@ def test_automaton_matches_brute_force():
             assert count_words(sh, n) == count_words_brute(sh, n), sh
 
 
+def reachable(trans):
+    """For each state of a transition list, the set of states it reaches
+    in one or more steps, by brute force."""
+    reach = []
+    for s in range(len(trans)):
+        seen, todo = set(), [t for t in trans[s] if t is not None]
+        while todo:
+            t = todo.pop()
+            if t not in seen:
+                seen.add(t)
+                todo += [u for u in trans[t] if u is not None]
+        reach.append(seen)
+    return reach
+
+
 def test_recurrence_matches_reachability_oracle():
-    """live and cycles against a brute-force reachability oracle on 600
-    seeded random shifts: a state is live iff it reaches a state on a
-    cycle, and the cyclic components are the classes of mutually
-    reachable cycle states."""
+    """recurrence against a brute-force reachability oracle on 600 seeded
+    random shifts: the cyclic components are the classes of mutually
+    reachable cycle states, and there is one exactly when state 0 is
+    live (is or reaches a state on a cycle), which is when entropy does
+    not call the subshift empty."""
     rng = random.Random(11)
     for _ in range(600):
-        trans = compile(random_subshift(rng))
-        reach = []   # states reachable in one or more steps
-        for s in range(len(trans)):
-            seen, todo = set(), [t for t in trans[s] if t is not None]
-            while todo:
-                t = todo.pop()
-                if t not in seen:
-                    seen.add(t)
-                    todo += [u for u in trans[t] if u is not None]
-            reach.append(seen)
+        sh = random_subshift(rng)
+        trans = compile(sh)
+        reach = reachable(trans)
         on_cycle = {s for s in range(len(trans)) if s in reach[s]}
-        live, cycles = S.recurrence(trans)
-        assert live == {s for s in range(len(trans))
-                        if s in on_cycle or reach[s] & on_cycle}
+        start_live = 0 in on_cycle or bool(reach[0] & on_cycle)
+        cycles = S.recurrence(trans)
+        assert bool(cycles) == start_live, sh
+        assert entropy(sh).empty != start_live, sh
         comps = [frozenset(c) for c in cycles]
         assert len(set(comps)) == len(comps)
         assert set(comps) == {frozenset(t for t in reach[s] if s in reach[t])
@@ -304,7 +314,7 @@ def test_perron_certificate_encloses_mpmath_eigenvalue(monkeypatch):
             dimension(beta, PointSpec(value=t_max * Fraction(i, 7)))
     seen = set()
     for trans in tables:
-        for comp in S.recurrence(trans)[1]:
+        for comp in S.recurrence(trans):
             rows = tuple(tuple(trans[s].count(t) for t in comp)
                          for s in comp)
             if not 2 <= len(comp) <= 40 or rows in seen:
@@ -323,7 +333,7 @@ def test_perron_certificate_encloses_mpmath_eigenvalue(monkeypatch):
 
 def test_perron_certificate_of_bare_cycle_is_exactly_one():
     trans = compile(LexSubshift(E("(01)"), E("(10)")))
-    comps = [c for c in S.recurrence(trans)[1] if len(c) > 1]
+    comps = [c for c in S.recurrence(trans) if len(c) > 1]
     assert comps
     for comp in comps:
         assert S._scc_spectral_radius(trans, comp) == (1, 1)
@@ -344,14 +354,14 @@ def reference_automaton(shift):
         lo, up = state
         new_lo = set()
         for i in set(lo) | {0}:
-            b = L.digit(i)
+            b = L.prefix(i + 1)[i]
             if d < b:
                 return None
             if d == b:
                 new_lo.add(adv(i, L))
         new_up = set()
         for i in set(up) | {0}:
-            b = U.digit(i)
+            b = U.prefix(i + 1)[i]
             if d > b:
                 return None
             if d == b:
@@ -374,11 +384,12 @@ def reference_automaton(shift):
 
 
 def reference_recurrence(trans):
-    """Tarjan's pass from state 0 over dicts and sets: (live, cycles)."""
+    """Tarjan's pass from state 0 over dicts and sets: the components
+    that hold a cycle."""
     succ = [[t for t in row if t is not None] for row in trans]
     index, low = {0: 0}, {0: 0}
     stack, on_stack, work = [0], {0}, [(0, iter(succ[0]))]
-    live, cycles = set(), []
+    cycles = []
     while work:
         v, it = work[-1]
         for w in it:
@@ -402,16 +413,13 @@ def reference_recurrence(trans):
                 on_stack.difference_update(comp)
                 if len(comp) > 1 or v in succ[v]:
                     cycles.append(comp)
-                    live.update(comp)
-                elif any(t in live for t in succ[v]):
-                    live.add(v)
-    return live, cycles
+    return cycles
 
 
 def test_bitmask_automaton_matches_frozenset_reference(monkeypatch):
     """The bit-parallel kernel builds the same transitions, in the same
     state numbering, as the frozenset construction, and recurrence
-    finds the same live states and the same components in the same order:
+    finds the same components in the same order:
     on 800 seeded random shifts, and on every shift that 32-sample
     dimension sweeps compile."""
     rng = random.Random(1992)
