@@ -207,17 +207,25 @@ def test_no_libm_rounding_calls_in_package():
     assert found == []
 
 
+def names_read(paths):
+    """Every name and attribute that the files at `paths` read."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and \
+                    not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and \
+                    not isinstance(node.ctx, ast.Store):
+                used.add(node.attr)
+    return used
+
+
 def test_no_unreferenced_private_functions():
     # every private module-level function and private method is used
     trees = [ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PKG.glob("*.py"))]
-    used = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    used = names_read(sorted(PKG.glob("*.py")))
     defined = []
     for tree in trees:
         scopes = [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]
@@ -238,16 +246,8 @@ def test_no_unread_public_names():
     init = ast.parse((PKG / "__init__.py").read_text())
     exported = {alias.asname or alias.name for node in ast.walk(init)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    used = set()
-    for folder in ("src", "demos", "bench"):
-        for path in sorted((PKG.parents[1] / folder).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name) and \
-                        not isinstance(node.ctx, ast.Store):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute) and \
-                        not isinstance(node.ctx, ast.Store):
-                    used.add(node.attr)
+    used = names_read(path for folder in ("src", "demos", "bench")
+                      for path in (PKG.parents[1] / folder).rglob("*.py"))
     unread = []
     for path in sorted(PKG.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
