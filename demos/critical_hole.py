@@ -36,7 +36,7 @@ for label in ["2", "@(10)", "@(110)", "1.7", "1.9"]:
 # at a left endpoint the survivor set at t = tau is tiny but nonempty:
 # exactly the orbit closure of the generator cycle
 print("z-set witnesses at the left endpoint of the golden interval:")
-for member in sorted(z_set("10"), key=str):
+for member in z_set("10"):
     print("  %s" % member)
 print("  empty just past the endpoint: %s"
       % verify_empty_at_left_endpoint("10"))

@@ -204,8 +204,8 @@ def atlas_json(recs, digits=12):
         out.append({
             "generator": r.generator,
             "lyndon": r.lyndon,
-            "beta_L": r.beta_L.value.nstr(digits + 2),
-            "beta_R": r.beta_R.value.nstr(digits + 2),
+            "beta_L": r.beta_L.nstr(digits + 2),
+            "beta_R": r.beta_R.nstr(digits + 2),
             "kind": r.kind,
             "alpha_L": str(r.alpha_L),
             "alpha_R": str(r.alpha_R),

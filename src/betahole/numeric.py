@@ -49,27 +49,13 @@ class Interval:
     def mid(self):
         return (self.a + self.b) / 2
 
-    def nstr(self, n):
-        """The midpoint to n significant digits, rounded half up, in
-        fixed notation with trailing zeros stripped down to one decimal,
-        in integer arithmetic on the midpoint's numerator and denominator."""
-        m = self.mid()
-        p, q = abs(m.numerator), m.denominator
-        e = len(str(p)) - len(str(q))   # 10^(e-1) < p/q < 10^(e+1)
-        if p * 10 ** max(-e, 0) < q * 10 ** max(e, 0):
-            e -= 1
-        s = n - 1 - e                   # decimals kept
-        num, den = p * 10 ** max(s, 0), q * 10 ** max(-s, 0)
-        d = (2 * num + den) // (2 * den)
-        while s > 0 and d % 10 == 0:
-            d, s = d // 10, s - 1
-        if s <= 0:
-            d, s = d * 10 ** (1 - s), 1
-        whole, frac = divmod(d, 10 ** s)
-        return "%s%d.%0*d" % ("-" if m < 0 else "", whole, s, frac)
-
     def __repr__(self):
         return "Interval(%s, %s)" % (self.a, self.b)
+
+
+def _div(p, q, up):
+    """The integer p/q, q > 0, rounded down or (up=True) up."""
+    return -(-p // q) if up else p // q
 
 
 def _half_ln(x, up):
@@ -79,19 +65,15 @@ def _half_ln(x, up):
     the same way.  Each term is at most z^2 <= 1/9 times the one before,
     so 9/8 of the first dropped term bounds the tail."""
     one = 1 << LOG_BITS
-
-    def div(p, q):
-        return -(-p // q) if up else p // q
-
-    z = div((x.numerator - x.denominator) << LOG_BITS,
-            x.numerator + x.denominator)
-    z2 = div(z * z, one)
+    z = _div((x.numerator - x.denominator) << LOG_BITS,
+             x.numerator + x.denominator, up)
+    z2 = _div(z * z, one, up)
     total, term, k = 0, z, 1
     while term > 1:
-        total += div(term, k)
-        term = div(term * z2, one)
+        total += _div(term, k, up)
+        term = _div(term * z2, one, up)
         k += 2
-    return total + div(9 * term, 8 * k) if up else total
+    return total + _div(9 * term, 8 * k, up) if up else total
 
 
 _HALF_LN2 = (_half_ln(Fraction(2), False), _half_ln(Fraction(2), True))
@@ -108,30 +90,28 @@ def _log2(a, b):
             Fraction(_half_ln(b, True), _HALF_LN2[0]))
 
 
-def _next_float(f, up):
-    """The float after f toward +inf (up=True) or -inf: f plus or minus
-    the float spacing there, a power of two; the float sum is exact."""
-    if f < 0 or (f == 0 and not up):
-        return -_next_float(-f, not up)
-    n, d = f.as_integer_ratio()
-    # spacing 2^(k-52) for 2^k <= f < 2^(k+1), half that just below a power
-    # of two, and at least 2^-1074, the subnormal spacing and step from 0
-    e = n.bit_length() - d.bit_length() - 52 - (not up and not n & (n - 1))
-    e = max(e, -1074) if n else -1074
-    step = float(1 << e) if e >= 0 else 1 / (1 << -e)
-    return f + step if up else f - step
+def _to_float(q, up):
+    """The rational q rounded down or (up=True) up on the float grid: for
+    2^k <= |q| < 2^(k+1) the floats there are the multiples of 2^e,
+    e = max(k - 52, -1074), so m = q / 2^e rounded is at most 2^53 and
+    m * 2^e is exact.  The sign of q, not of m, signs a zero."""
+    n, d = q.numerator, q.denominator
+    k = abs(n).bit_length() - d.bit_length()    # |q| < 2^(k+1)
+    if abs(n) << max(-k, 0) < d << max(k, 0):   # |q| < 2^k
+        k -= 1
+    e = max(k - 52, -1074)
+    m = _div(n << max(-e, 0), d << max(e, 0), up)
+    return math.copysign(math.ldexp(m, e), -1.0 if q < 0 else 1.0)
 
 
 def float_down(q):
     """Largest float at or below the rational q."""
-    f = float(q)
-    return _next_float(f, False) if Fraction(f) > q else f
+    return _to_float(q, False)
 
 
 def float_up(q):
     """Smallest float at or above the rational q."""
-    f = float(q)
-    return _next_float(f, True) if Fraction(f) < q else f
+    return _to_float(q, True)
 
 
 def fixed(x, digits, up):
@@ -139,7 +119,7 @@ def fixed(x, digits, up):
     rounded down or (up=True) up from its exact value, in integer
     arithmetic."""
     q = Fraction(x) * 10 ** digits
-    whole, frac = divmod(abs(math.ceil(q) if up else math.floor(q)),
+    whole, frac = divmod(abs(_div(q.numerator, q.denominator, up)),
                          10 ** digits)
     sign = "-" if math.copysign(1, x) < 0 else ""
     return sign + ("%d.%0*d" % (whole, digits, frac) if digits else
@@ -378,9 +358,17 @@ class BetaSpec:
             return self.alpha
         return S.ONES if self.value.a == 2 else None
 
+    def nstr(self, n):
+        """The midpoint of beta to n >= 2 significant digits, rounded half
+        up, with trailing zeros stripped down to one decimal: beta in
+        (1, 2] has one digit before the point, so n - 1 decimals."""
+        s = fixed(self.value.mid() + Fraction(1, 2 * 10 ** (n - 1)), n - 1,
+                  False)
+        return s[:2] + (s[2:].rstrip("0") or "0")
+
     def __str__(self):
         """The printed label: "@PRE(PER)", or the value to 17 digits."""
-        return "@%s" % self.alpha if self.symbolic else self.value.nstr(17)
+        return "@%s" % self.alpha if self.symbolic else self.nstr(17)
 
     def __repr__(self):
         return "BetaSpec(%s)" % self

@@ -162,7 +162,8 @@ def _scc_spectral_radius(trans, comp):
     component, padded with a sentinel slot that always holds 0.0, so a
     step is y_i = x_i + x[a_i] + x[b_i].  Every 50th step is a checkpoint:
     the Collatz-Wielandt min and max of (Bx)_i / x_i bracket the Perron
-    root of B for any positive x, and x is renormalised.  The 49 steps in
+    root of B for any positive x, and x is renormalised and checked
+    positive before the next ratios divide by it.  The 49 steps in
     between grow entries by at most 3^49, far from overflow.  The last x
     is certified exactly, as integers over one power of two, with the
     extreme ratios picked by integer cross-multiplication: no pad.
@@ -190,12 +191,12 @@ def _scc_spectral_radius(trans, comp):
         best_hi = min(best_hi, max(ratios))
         top = max(y)
         x = [yi / top for yi in y]
+        if min(x) <= 0:
+            raise CertificateFailed("Perron vector has a non-positive entry")
         x.append(0.0)
         done += 50
         if best_hi - best_lo < PERRON_TOL:
             break
-    if min(x[:k]) <= 0:
-        raise CertificateFailed("Perron vector has a non-positive entry")
     parts = [xi.as_integer_ratio() for xi in x[:k]]
     den = max(d for _, d in parts)
     X = [n * (den // d) for n, d in parts] + [0]

@@ -291,6 +291,17 @@ def test_doubling_interval():
         B.doubling_interval("0011")
 
 
+def test_doubling_interval_certificate_fails_on_a_non_farey_word(
+        monkeypatch):
+    # "0011" is not balanced; with the Farey check bypassed its q_L lies
+    # above its q_R
+    monkeypatch.setattr(W, "require_farey", lambda w: None)
+    with pytest.raises(CertificateFailed,
+                       match="^doubling interval certificate failed: "
+                             "q_L = 3/10 is not below q_R = 1/5 for '0011'$"):
+        B.doubling_interval("0011")
+
+
 def test_phi():
     assert B.phi(BetaSpec.parse("2")) == 1
     assert B.phi(BetaSpec.parse("@(10)")) == Fraction(2, 3)

@@ -6,7 +6,8 @@ from math import gcd
 
 import pytest
 
-from betahole.errors import FinitenessCertificateFailed, NotFareyReflection
+from betahole.errors import (CertificateFailed, FinitenessCertificateFailed,
+                             NotFareyReflection)
 from betahole.sequences import EpSequence, extreme_shifts, lex_compare_ep
 from betahole.survivor import (LexSubshift, PointSpec, compile, dimension,
                                entropy)
@@ -176,6 +177,18 @@ def test_t_n_family_and_tau_report_reject_too_small_arguments():
         C.t_n_family("110", 0)
     with pytest.raises(ValueError, match="atlas_depth must be >= 2"):
         C.tau_report(BetaSpec.parse("1.5"), 1)
+
+
+def test_t_n_family_certificates_fail_on_a_bad_shift(monkeypatch):
+    t = E("(00101)")   # t_1 of "10"
+    monkeypatch.setattr(C, "extreme_shifts", lambda x: (E("(0)"), t))
+    with pytest.raises(CertificateFailed, match=r"^t_N certificate failed: "
+                       r"shift \(0\) lies below t_N$"):
+        C.t_n_family("10", 1)
+    monkeypatch.setattr(C, "extreme_shifts", lambda x: (t, E("(10)")))
+    with pytest.raises(CertificateFailed, match=r"^t_N certificate failed: "
+                       r"shift \(10\) reaches \(10\)\^inf$"):
+        C.t_n_family("10", 1)
 
 
 def test_t_n_family_increasing():

@@ -292,7 +292,9 @@ def test_no_process_wide_caches_in_package():
 
 def test_interval_has_no_arithmetic():
     # Interval is a bracket: each monotone map that takes one (the digit
-    # loop, project, 1 - 1/beta, log2) is evaluated at its two ends instead
+    # loop, project, 1 - 1/beta, log2) is evaluated at its two ends instead;
+    # a base prints its own label (BetaSpec.nstr)
     ops = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-           "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "log2"]
+           "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "log2",
+           "nstr"]
     assert [op for op in ops if hasattr(Interval, op)] == []

@@ -512,50 +512,56 @@ def test_interval_log2_encloses_high_precision_log():
             assert hi_q - lo_q < Fraction(1, 2 ** 120), q
 
 
-def test_interval_nstr_matches_mpmath():
+def test_beta_nstr_matches_mpmath():
+    """The label of a 2^-100 root bracket (the atlas endpoints) or of a
+    100-bit dyadic point in (1, 2] against mpmath.nstr of its midpoint."""
     rng = random.Random(10)
+    specs = [beta for r in B.atlas(8) for beta in (r.beta_L, r.beta_R)]
+    specs += [BetaSpec(1 + Fraction(rng.getrandbits(100) + 1, 2 ** 100))
+              for _ in range(300)]
     with mpmath.workprec(400):
-        for _ in range(300):
-            lo = 1 + Fraction(rng.getrandbits(100), 2 ** 100)
-            x = Interval(lo, lo + Fraction(1, 2 ** 100))
-            m = x.mid()
-            for n in (14, 17):
-                assert x.nstr(n) == mpmath.nstr(
+        for beta in specs:
+            m = beta.value.mid()
+            for n in (2, 3, 6, 14, 17, 20):
+                assert beta.nstr(n) == mpmath.nstr(
                     mpmath.mpf(m.numerator) / m.denominator, n), (m, n)
-    assert Interval(2).nstr(17) == "2.0"
-    assert Interval("1.7").nstr(17) == "1.7"
+    assert str(BetaSpec(2)) == "2.0"
+    assert str(BetaSpec("1.7")) == "1.7"
 
 
 def decimal_nstr(m, n):
-    """The Decimal routine Interval.nstr replaced, kept as its oracle."""
+    """The Decimal routine behind the labels before integer arithmetic,
+    kept as their oracle."""
     ctx = Context(prec=n, rounding=ROUND_HALF_UP)
     d = ctx.divide(Decimal(m.numerator), Decimal(m.denominator))
     s = "{:f}".format(d.normalize(ctx))
     return s if "." in s else s + ".0"
 
 
-def test_interval_nstr_matches_decimal_oracle():
+def test_beta_nstr_matches_decimal_oracle():
+    """Seeded dyadic, rational and decimal points in (1, 2]; the decimals
+    hit exact ties, which round half up."""
     rng = random.Random(12)
-    values = []
+    values = [Fraction(2)]
     for _ in range(600):
-        values.append(Fraction(rng.getrandbits(rng.randint(1, 200)),
-                               2 ** rng.randint(0, 200)))
-        values.append(Fraction(rng.randint(-10 ** 15, 10 ** 15),
-                               rng.randint(1, 10 ** 15)))
-        values.append(Fraction(rng.randint(1, 10 ** 6))
-                      * Fraction(10) ** rng.randint(-26, 14))
+        bits = rng.randint(1, 200)
+        values.append(1 + Fraction(rng.randint(1, 2 ** bits), 2 ** bits))
+        q = rng.randint(1, 10 ** 15)
+        values.append(Fraction(rng.randint(q + 1, 2 * q), q))
+        ten = 10 ** rng.randint(1, 26)
+        values.append(Fraction(rng.randint(ten + 1, 2 * ten), ten))
     for m in values:
-        for n in (1, 2, 3, 6, 14, 17, 20):
-            assert Interval(m).nstr(n) == decimal_nstr(m, n), (m, n)
+        for n in (2, 3, 6, 14, 17, 20):
+            assert BetaSpec(m).nstr(n) == decimal_nstr(m, n), (m, n)
 
 
-def test_interval_nstr_edge_cases():
-    assert Interval(0).nstr(17) == "0.0"
-    assert Interval(123456789).nstr(3) == "123000000.0"
-    assert Interval("0.99995").nstr(4) == "1.0"
-    assert Interval("5e-9").nstr(17) == "0.000000005"
-    assert Interval(Fraction(-3, 7)).nstr(4) == "-0.4286"
-    assert Interval(Fraction(-1, 2), Fraction(1, 2)).nstr(6) == "0.0"
+def test_beta_nstr_edge_cases():
+    assert BetaSpec("1.99995").nstr(4) == "2.0"     # carry into the units
+    assert BetaSpec("1.99949").nstr(4) == "1.999"
+    assert BetaSpec("1.05").nstr(2) == "1.1"        # a tie rounds up
+    assert BetaSpec("1.0000001").nstr(6) == "1.0"   # zeros strip to one
+    assert BetaSpec("1.2").nstr(20) == "1.2"
+    assert BetaSpec(2).nstr(2) == "2.0"
 
 
 def test_float_rounding_is_directed():
@@ -589,6 +595,15 @@ def test_float_rounding_matches_nextafter_oracle():
         p = rng.randint(1, 10 ** rng.randint(1, 40))
         q = rng.randint(1, 10 ** rng.randint(1, 40))
         qs.append(Fraction(rng.choice((-1, 1)) * p, q))
+    # numerator and denominator beyond the float range, quotient a float
+    huge = []
+    for _ in range(300):
+        d = rng.randint(2 ** 1025, 2 ** 3400)
+        r = Fraction(rng.getrandbits(64) + 1, rng.getrandbits(64) + 1)
+        huge.append(Fraction(d * r.numerator + rng.randint(1, d),
+                             d * r.denominator))
+    assert min(min(q.numerator, q.denominator) for q in huge) > 2 ** 1024
+    qs += huge
     for k in range(-60, 61):
         x = Fraction(2) ** k
         nudge = x / 2 ** 80

@@ -6,9 +6,11 @@ from fractions import Fraction
 from itertools import product
 
 import mpmath
+import pytest
 from mpmath import iv
 from mpmath.libmp import to_rational
 
+from betahole.errors import CertificateFailed, StateCapExceeded
 from betahole.sequences import EpSequence, is_in_Q, lex_compare_ep
 from betahole.survivor import (LexSubshift, PointSpec, compile, count_words,
                                dimension, entropy, membership)
@@ -337,6 +339,31 @@ def test_perron_certificate_of_bare_cycle_is_exactly_one():
     assert comps
     for comp in comps:
         assert S._scc_spectral_radius(trans, comp) == (1, 1)
+
+
+def test_perron_certificate_rejects_a_decaying_entry():
+    # not strongly connected: state 1's entry decays like (2/3)^n until it
+    # underflows to 0, which must fail the certificate before a ratio
+    # divides by it
+    with pytest.raises(CertificateFailed,
+                       match="^Perron vector has a non-positive entry$"):
+        S._scc_spectral_radius([(0, 0), (1, None)], [0, 1])
+
+
+def test_compile_stops_at_the_state_cap(monkeypatch):
+    monkeypatch.setattr(S, "STATE_CAP", 3)
+    with pytest.raises(StateCapExceeded,
+                       match="^automaton exceeded 3 states$"):
+        compile(LexSubshift(E("(0)"), E("(110100)")))
+
+
+def test_dimension_rejects_a_lower_bound_above_the_upper(monkeypatch):
+    monkeypatch.setattr(S, "entropy",
+                        lambda shift: S.EntropyBracket(0.5, 0.25))
+    with pytest.raises(CertificateFailed,
+                       match="^dimension bracket certificate failed: "
+                             "lower .* above upper "):
+        dimension(BetaSpec.parse("@(10)"), PointSpec(seq=E("(001)")))
 
 
 def reference_automaton(shift):
