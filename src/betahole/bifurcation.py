@@ -11,8 +11,7 @@ beta -> alpha(beta) is an order isomorphism.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import (CertificateFailed, NotFarey, NotFareyReflection,
-                     NotLyndon, NotMaximalRotation)
+from .errors import BadWord, CertificateFailed
 from .sequences import (EpSequence, is_admissible, lex_compare_ep,
                         require_in_Q)
 from .numeric import BetaSpec, Interval
@@ -62,11 +61,11 @@ def basic_interval(a):
     of the Lyndon rotation of a is isolated in E+."""
     W.check_word(a)
     if "0" not in a or "1" not in a:
-        raise NotMaximalRotation("degenerate generator %r" % a)
+        raise BadWord("degenerate generator %r" % a)
     if not W.is_aperiodic(a):
-        raise NotMaximalRotation("%r is not primitive" % a)
+        raise BadWord("%r is not primitive" % a)
     if W.max_rotation(a) != a:
-        raise NotMaximalRotation("%r is not maximal among its rotations" % a)
+        raise BadWord("%r is not maximal among its rotations" % a)
     # (a)^inf is in Q: it holds a 1, and a is its own greatest rotation
     alpha_L = EpSequence("", a)
     s, _ = W.lyndon_rotation(a)
@@ -77,14 +76,13 @@ def basic_interval(a):
 
 
 def require_farey_generator(a):
-    """Raise NotFareyReflection unless reflect(a) is a non-degenerate
-    Farey word."""
+    """Raise BadWord unless reflect(a) is a non-degenerate Farey word."""
     r = W.reflect(a)
     try:
         W.require_farey(r)
-    except NotFarey:
-        raise NotFareyReflection("reflect(%r) = %r is not a non-degenerate "
-                                 "Farey word" % (a, r)) from None
+    except BadWord:
+        raise BadWord("reflect(%r) = %r is not a non-degenerate "
+                      "Farey word" % (a, r)) from None
 
 
 def classify_isolated(t_period, beta):
@@ -92,7 +90,7 @@ def classify_isolated(t_period, beta):
     maximal rotation: "not_in_E_plus" (left of it), "isolated" (inside),
     or "not_isolated" (right of it)."""
     if not W.is_lyndon(t_period):
-        raise NotLyndon("%r is not Lyndon" % t_period)
+        raise BadWord("%r is not Lyndon" % t_period)
     rec = basic_interval(W.max_rotation(t_period))
     if beta.compare(rec.alpha_L) <= 0:
         return "not_in_E_plus"

@@ -13,7 +13,7 @@ from fractions import Fraction
 import click
 
 from .errors import BetaHoleError
-from .sequences import EpSequence, is_admissible
+from .sequences import EpSequence, is_admissible, require_in_Q
 from .numeric import BetaSpec, Interval
 from .survivor import PointSpec, dimension
 from . import words as W
@@ -128,6 +128,7 @@ def admissible(x_s, alpha_s, beta_s):
     if (alpha_s is None) == (beta_s is None):
         raise click.UsageError("give exactly one of --alpha / --beta")
     a = EpSequence.parse(alpha_s) if beta_s is None else _closed_alpha(beta_s)
+    require_in_Q(a)
     x = EpSequence.parse(x_s)
     click.echo("true" if is_admissible(x, a) else "false")
 

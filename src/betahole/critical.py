@@ -5,7 +5,7 @@ family, left-endpoint emptiness, and the TauReport regimes.
 
 from typing import NamedTuple
 
-from .errors import CertificateFailed, FinitenessCertificateFailed
+from .errors import CertificateFailed, OutOfRange
 from .sequences import EpSequence, extreme_shifts, lex_compare_ep
 from . import bifurcation as B
 from . import sequences as S
@@ -21,7 +21,7 @@ def z_set(a):
     rotations r of a, as (r)^infinity, in increasing order.
 
     Certificate: the last digits of the sorted rotations, read in order,
-    must read 1...10...0 (no "01"), else FinitenessCertificateFailed.
+    must read 1...10...0 (no "01"), else CertificateFailed.
     This is the Burrows-Wheeler form that Mantaci, Restivo and Sciortino
     (IPL 86, 2003) show belongs to Christoffel classes, so it never fires
     once reflect(a) is Farey; a is then primitive and its own greatest
@@ -47,7 +47,7 @@ def z_set(a):
     B.require_farey_generator(a)
     rots = sorted(W.rotations(a))
     if "01" in "".join(r[-1] for r in rots):
-        raise FinitenessCertificateFailed(
+        raise CertificateFailed(
             "sorted rotations of %r do not end in 1...10...0" % a)
     return [EpSequence("", r) for r in rots]
 
@@ -70,7 +70,7 @@ def t_n_family(a, n):
     weakly below all of its shifts and strictly below (a)^infinity."""
     B.require_farey_generator(a)
     if n < 1:
-        raise ValueError("N must be >= 1")
+        raise OutOfRange("N must be >= 1")
     _, j = W.lyndon_rotation(a)
     per = "0" + a[1:] + a * n + a[:j]
     t = EpSequence("", per)
@@ -148,7 +148,7 @@ def tau_report(beta, atlas_depth=10):
     at most atlas_depth and report the best known bracket for the
     critical hole size tau_beta."""
     if atlas_depth < 2:
-        raise ValueError("atlas_depth must be >= 2")
+        raise OutOfRange("atlas_depth must be >= 2")
     # 1 - 1/beta rises with beta
     one_minus = N.Interval(1 - 1 / beta.value.a, 1 - 1 / beta.value.b)
     if beta.alpha_sequence() == S.ONES:

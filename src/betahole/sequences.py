@@ -7,7 +7,7 @@ structural equality coincides with equality of the infinite sequences.
 
 from dataclasses import dataclass
 
-from .errors import NotInQ
+from .errors import BadWord, NotInQ
 from . import words as W
 
 
@@ -58,7 +58,7 @@ class EpSequence:
         """Parse the "PRE(PER)" text form, e.g. "11(01)" or "(10)"."""
         text = text.strip()
         if "(" not in text or not text.endswith(")"):
-            raise ValueError("expected PRE(PER) with PER nonempty: %r" % text)
+            raise BadWord("expected PRE(PER) with PER nonempty: %r" % text)
         pre, per = text[:-1].split("(", 1)
         return cls(pre, per)
 

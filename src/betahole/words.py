@@ -7,13 +7,7 @@ way.
 
 from math import gcd
 
-from .errors import (
-    DegenerateFarey,
-    LastDigitMismatch,
-    LevelTooLarge,
-    NotFarey,
-    PeriodicWord,
-)
+from .errors import BadWord, OutOfRange
 
 # level n holds 3**n + 1 letters in all: 4,782,970 at level 14
 MAX_FAREY_LEVEL = 14
@@ -21,7 +15,7 @@ MAX_FAREY_LEVEL = 14
 
 def check_word(w):
     if not (isinstance(w, str) and w and not w.strip("01")):
-        raise ValueError("word must be a nonempty string over {0,1}: %r" % (w,))
+        raise BadWord("word must be a nonempty string over {0,1}: %r" % (w,))
     return w
 
 
@@ -29,7 +23,7 @@ def plus(w):
     """Flip a trailing 0 to a 1."""
     check_word(w)
     if w[-1] != "0":
-        raise LastDigitMismatch("plus() needs a word ending in 0: %r" % w)
+        raise BadWord("plus() needs a word ending in 0: %r" % w)
     return w[:-1] + "1"
 
 
@@ -74,7 +68,7 @@ def rotations(w):
 
 def _aperiodic_rotations(w):
     if not is_aperiodic(w):
-        raise PeriodicWord("word is a power of a shorter word: %r" % w)
+        raise BadWord("word is a power of a shorter word: %r" % w)
     return rotations(w)
 
 
@@ -99,9 +93,9 @@ def farey_level(n):
     concatenations of its neighbouring pairs, so it has 2**n + 1 entries.
     """
     if n < 0:
-        raise ValueError("level must be nonnegative")
+        raise OutOfRange("level must be nonnegative")
     if n > MAX_FAREY_LEVEL:
-        raise LevelTooLarge(
+        raise OutOfRange(
             "level %d exceeds maximum %d" % (n, MAX_FAREY_LEVEL))
     level = ["0", "1"]
     for _ in range(n):
@@ -134,11 +128,11 @@ def is_farey(w):
 
 
 def require_farey(w):
-    """Raise NotFarey unless w is a non-degenerate Farey word."""
+    """Raise BadWord unless w is a non-degenerate Farey word."""
     if w in ("0", "1"):
-        raise DegenerateFarey("degenerate Farey word: %r" % w)
+        raise BadWord("degenerate Farey word: %r" % w)
     if not is_farey(w):
-        raise NotFarey("not a Farey word: %r" % w)
+        raise BadWord("not a Farey word: %r" % w)
 
 
 def standard_factorization(w):

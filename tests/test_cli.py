@@ -67,6 +67,35 @@ def test_domain_errors_exit_1(args):
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
+BAD_WORDS = [
+    ("factorize --word 0011", "not a Farey word: '0011'"),
+    ("factorize --word 0", "degenerate Farey word: '0'"),
+    ("isolated --word 10 --beta 1.5", "'10' is not Lyndon"),
+    ("isolated --word 0 --beta 1.5", "degenerate generator '0'"),
+    ("zset --word 1100",
+     "reflect('1100') = '0011' is not a non-degenerate Farey word"),
+    ("classify --t (2) --beta @(10)",
+     "word must be a nonempty string over {0,1}: '2'"),
+]
+
+
+@pytest.mark.parametrize("args, line", BAD_WORDS,
+                         ids=[args for args, _ in BAD_WORDS])
+def test_bad_word_error_lines(args, line):
+    # every bad word raises one class, so its message alone tells the
+    # failures apart
+    r = run(*args.split())
+    assert (r.exit_code, r.stdout, r.stderr) == (1, "", "error: %s\n" % line)
+
+
+def test_admissible_alpha_must_be_in_Q_as_beta_is():
+    for flag, value in [("--alpha", "(01)"), ("--beta", "@(01)")]:
+        r = run("admissible", "--x", "(0110)", flag, value)
+        assert r.exit_code == 1 and r.stdout == "", flag
+        assert r.stderr == "error: (01) is not a quasi-greedy expansion " \
+            "of 1\n", flag
+
+
 def test_expand_bad_flag_exits_2():
     r = run("expand", "--x", "0.5")
     assert r.exit_code == 2

@@ -6,8 +6,7 @@ from math import gcd
 
 import pytest
 
-from betahole.errors import (CertificateFailed, FinitenessCertificateFailed,
-                             NotFareyReflection)
+from betahole.errors import BadWord, CertificateFailed, OutOfRange
 from betahole.sequences import EpSequence, extreme_shifts, lex_compare_ep
 from betahole.survivor import (LexSubshift, PointSpec, compile, dimension,
                                entropy)
@@ -67,7 +66,7 @@ def test_z_set_contains_the_generator_orbit():
 
 def test_z_set_finite_for_generators_up_to_8():
     for a in farey_generators(8):
-        members = C.z_set(a)   # raises FinitenessCertificateFailed if not
+        members = C.z_set(a)   # raises CertificateFailed if not
         assert len(members) == len(a), a
 
 
@@ -116,7 +115,7 @@ def test_z_set_is_the_automaton_orbit():
 def test_z_set_certificate_fails_outside_christoffel_classes(monkeypatch):
     monkeypatch.setattr(B, "require_farey_generator", lambda a: None)
     for a in ("110100", "11100"):
-        with pytest.raises(FinitenessCertificateFailed,
+        with pytest.raises(CertificateFailed,
                            match="do not end in 1...10...0"):
             C.z_set(a)
 
@@ -135,7 +134,7 @@ def test_z_set_certificate_holds_exactly_on_farey_generators(monkeypatch):
             try:
                 C.z_set(w)
                 passed = True
-            except FinitenessCertificateFailed:
+            except CertificateFailed:
                 passed = False
             assert passed == W.is_farey(W.reflect(w)), w
             checked += 1
@@ -143,7 +142,7 @@ def test_z_set_certificate_holds_exactly_on_farey_generators(monkeypatch):
 
 
 def test_z_set_rejects_non_farey():
-    with pytest.raises(NotFareyReflection, match=r"^reflect\('1100'\) = "
+    with pytest.raises(BadWord, match=r"^reflect\('1100'\) = "
                        r"'0011' is not a non-degenerate Farey word$"):
         C.z_set("1100")
 
@@ -173,9 +172,9 @@ def test_t_n_family():
 
 
 def test_t_n_family_and_tau_report_reject_too_small_arguments():
-    with pytest.raises(ValueError, match="N must be >= 1"):
+    with pytest.raises(OutOfRange, match="^N must be >= 1$"):
         C.t_n_family("110", 0)
-    with pytest.raises(ValueError, match="atlas_depth must be >= 2"):
+    with pytest.raises(OutOfRange, match="^atlas_depth must be >= 2$"):
         C.tau_report(BetaSpec.parse("1.5"), 1)
 
 

@@ -269,6 +269,22 @@ def test_no_unread_public_names():
     assert unread == ["cli.py:get_help_option"]
 
 
+def test_every_error_class_is_raised_by_name():
+    # one class per kind of failure: a class that nothing raises is a name
+    # a caller may catch in vain
+    tree = ast.parse((PKG / "errors.py").read_text())
+    classes = {node.name for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert classes and sorted(classes - raised) == []
+
+
 def test_no_process_wide_caches_in_package():
     # a memo lives on the object it describes (BetaSpec keeps alpha(beta)
     # and log2 beta), so nothing a request computes outlives it

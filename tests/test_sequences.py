@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from betahole.bifurcation import in_E_plus
-from betahole.errors import NotInQ
+from betahole.errors import BadWord, NotInQ
 from betahole.sequences import (EpSequence, extreme_shifts, lex_compare_ep,
                                 is_in_Q, is_admissible, ONES)
 from betahole.survivor import LexSubshift, membership
@@ -36,7 +36,8 @@ def test_canonical_form():
 def test_parse_roundtrip():
     for text in ["(10)", "0(01)", "11(0)", "(110)"]:
         assert str(EpSequence.parse(text)) == text
-    with pytest.raises(ValueError):
+    with pytest.raises(BadWord, match=r"^expected PRE\(PER\) with PER "
+                       r"nonempty: '0110'$"):
         EpSequence.parse("0110")
 
 

@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 from itertools import product
 
-import mpmath
 import pytest
 from mpmath import iv
 from mpmath.libmp import to_rational
@@ -298,10 +297,50 @@ def test_dimension_evaluates_log2_beta_once_per_base(monkeypatch):
     assert calls.count((beta.value.a, beta.value.b)) == 1
 
 
-def test_perron_certificate_encloses_mpmath_eigenvalue(monkeypatch):
-    """The exact Collatz-Wielandt bracket of every cyclic component with at
-    most 40 states, from 8-sample staircase sweeps, holds the spectral
-    radius that mpmath.eig finds at 50 digits and is < 1e-9 wide."""
+def above_spectral_radius(rows, z):
+    """True iff z > rho(A), A the irreducible nonnegative integer matrix
+    `rows`: exactly then is zI - A a nonsingular M-matrix, i.e. all of its
+    leading principal minors are positive (Berman and Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, ch. 6).  The minors
+    are the pivots of fraction-free (Bareiss) elimination on
+    P*I - Q*A, z = P/Q, which has the same signs."""
+    z = Fraction(z)
+    n = len(rows)
+    m = [[z.numerator * (i == j) - z.denominator * rows[i][j]
+          for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return True
+
+
+def test_above_spectral_radius_on_known_matrices():
+    golden = ((1, 1), (1, 0))
+    phi = (1 + math.sqrt(5)) / 2
+    assert above_spectral_radius(golden, Fraction(phi) + Fraction(1, 10**9))
+    assert not above_spectral_radius(golden,
+                                     Fraction(phi) - Fraction(1, 10**9))
+    # a bare cycle has rho = 1, which only its full minor sees: every
+    # smaller leading minor of zI - A is z^k > 0
+    cycle = tuple(tuple(int(j == (i + 1) % 15) for j in range(15))
+                  for i in range(15))
+    assert above_spectral_radius(cycle, Fraction(1001, 1000))
+    assert not above_spectral_radius(cycle, 1)
+    assert not above_spectral_radius(cycle, Fraction(999, 1000))
+
+
+def test_perron_certificate_encloses_the_exact_spectral_radius(monkeypatch):
+    """The exact Collatz-Wielandt bracket [lo, hi] of every cyclic
+    component with at most 40 states, from 8-sample staircase sweeps, is
+    < 1e-9 wide and holds the spectral radius: an exact M-matrix test
+    puts rho below hi + 1e-40 and above lo - 1e-40.  The upper point lies
+    strictly above hi, since a bare cycle returns exactly (1, 1)."""
     tables, build = [], S.compile
 
     def recorded(shift):
@@ -315,6 +354,7 @@ def test_perron_certificate_encloses_mpmath_eigenvalue(monkeypatch):
         for i in range(8):
             dimension(beta, PointSpec(value=t_max * Fraction(i, 7)))
     seen = set()
+    slack = Fraction(1, 10 ** 40)
     for trans in tables:
         for comp in S.recurrence(trans):
             rows = tuple(tuple(trans[s].count(t) for t in comp)
@@ -324,12 +364,8 @@ def test_perron_certificate_encloses_mpmath_eigenvalue(monkeypatch):
             seen.add(rows)
             lo, hi = S._scc_spectral_radius(trans, comp)
             assert hi - lo < Fraction(1, 10 ** 9), len(comp)
-            with mpmath.workdps(50):
-                rho = max(abs(e) for e in mpmath.eig(
-                    mpmath.matrix(rows), left=False, right=False))
-                rho = Fraction(*to_rational(rho._mpf_))
-            slack = Fraction(1, 10 ** 40)   # the oracle's own rounding
-            assert lo - slack <= rho <= hi + slack, len(comp)
+            assert above_spectral_radius(rows, hi + slack), len(comp)
+            assert not above_spectral_radius(rows, lo - slack), len(comp)
     assert len(seen) >= 10
 
 

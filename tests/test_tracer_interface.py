@@ -2,6 +2,7 @@
 it wraps every public function of each layer and observes some results,
 such as the state count of `survivor.compile` through len()."""
 
+import json
 import os
 import sys
 
@@ -38,3 +39,14 @@ def test_tracer_observes_dimension_and_z_set_without_errors():
     compiles = agg["fn"]["survivor.compile"][0]
     assert compiles > 0 and len(agg["states"]) == compiles
     assert all(n > 0 for n in agg["states"])
+
+
+def test_every_traced_function_of_the_benchmark_exists():
+    # a per-layer metric whose function is gone reads null and marks
+    # itself missing, so a traced run would not end in a valid result
+    with open(os.path.join(os.path.dirname(BENCH), "BENCHMARK.json")) as f:
+        names = [m["name"] for m in json.load(f)["per_layer"]]
+    wanted = {name.rsplit(".", 1)[0] for name in names
+              if name.count(".") == 2}
+    assert len(wanted) == 18
+    assert sorted(wanted - Tracer().targets) == []

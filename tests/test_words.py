@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 
 from betahole import words as W
 from betahole.sequences import EpSequence
-from betahole.errors import (LastDigitMismatch, LevelTooLarge, NotFarey,
-                             DegenerateFarey, PeriodicWord)
+from betahole.errors import BadWord, OutOfRange
 
 words_st = st.text(alphabet="01", min_size=1, max_size=14)
 
@@ -34,17 +33,20 @@ def farey_pairs(max_len):
 
 
 def test_check_word_rejects_anything_but_a_binary_string():
+    # a bad word is still a ValueError to a caller that knows only that
+    assert issubclass(BadWord, ValueError)
     for w in ["0", "1", "0110"]:
         assert W.check_word(w) == w
     for bad in ["", "012", "0 1", None, ["0", "1"]]:
-        with pytest.raises(ValueError, match="nonempty string over"):
+        with pytest.raises(BadWord, match="nonempty string over"):
             W.check_word(bad)
 
 
 def test_plus():
     assert W.plus("10") == "11"
     assert W.plus("0") == "1"
-    with pytest.raises(LastDigitMismatch):
+    with pytest.raises(BadWord, match=r"^plus\(\) needs a word ending in 0: "
+                       r"'11'$"):
         W.plus("11")
 
 
@@ -53,7 +55,7 @@ def test_plus_flips_a_trailing_zero(w):
     if w[-1] == "0":
         assert W.plus(w) == w[:-1] + "1"
     else:
-        with pytest.raises(LastDigitMismatch):
+        with pytest.raises(BadWord, match="needs a word ending in 0"):
             W.plus(w)
 
 
@@ -85,9 +87,10 @@ def test_rotation_extremes():
     assert W.lyndon_rotation("10") == ("01", 1)
     assert W.max_rotation("0011") == "1100"
     for w in ("0101", "1010"):
-        with pytest.raises(PeriodicWord):
+        msg = "^word is a power of a shorter word: '%s'$" % w
+        with pytest.raises(BadWord, match=msg):
             W.max_rotation(w)
-        with pytest.raises(PeriodicWord):
+        with pytest.raises(BadWord, match=msg):
             W.lyndon_rotation(w)
 
 
@@ -121,9 +124,9 @@ def test_farey_levels():
     assert W.farey_level(0) == ("0", "1")
     assert W.farey_level(1) == ("0", "01", "1")
     assert W.farey_level(2) == ("0", "001", "01", "011", "1")
-    with pytest.raises(LevelTooLarge):
+    with pytest.raises(OutOfRange, match="^level 15 exceeds maximum 14$"):
         W.farey_level(15)
-    with pytest.raises(LevelTooLarge):
+    with pytest.raises(OutOfRange, match="^level 99 exceeds maximum 14$"):
         W.farey_level(99)
 
 
@@ -144,7 +147,7 @@ def farey_level_recursive(n):
 def test_farey_level_matches_the_recursion_up_to_12():
     for n in range(13):
         assert W.farey_level(n) == farey_level_recursive(n), n
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange, match="^level must be nonnegative$"):
         W.farey_level(-1)
 
 
@@ -201,25 +204,24 @@ def test_standard_factorization():
     assert W.standard_factorization("001") == ("0", "01")
     assert W.standard_factorization("011") == ("01", "1")
     assert W.standard_factorization("01011") == ("01", "011")
-    with pytest.raises(DegenerateFarey):
+    with pytest.raises(BadWord, match="^degenerate Farey word: '0'$"):
         W.standard_factorization("0")
-    with pytest.raises(NotFarey):
+    with pytest.raises(BadWord, match="^not a Farey word: '0011'$"):
         W.standard_factorization("0011")
 
 
 def test_one_non_degenerate_farey_check():
     """standard_factorization and check_palindrome_property raise the same
-    errors; a degenerate word raises a NotFarey too."""
-    assert issubclass(DegenerateFarey, NotFarey)
+    errors as require_farey."""
     for check in (W.require_farey, W.standard_factorization,
                   W.check_palindrome_property):
         for w in ("0", "1"):
-            with pytest.raises(DegenerateFarey,
+            with pytest.raises(BadWord,
                                match=r"^degenerate Farey word: '%s'$" % w):
                 check(w)
-        with pytest.raises(NotFarey, match=r"^not a Farey word: '0011'$"):
+        with pytest.raises(BadWord, match=r"^not a Farey word: '0011'$"):
             check("0011")
-        with pytest.raises(ValueError):
+        with pytest.raises(BadWord, match="nonempty string over"):
             check("012")
     assert W.require_farey("0010101") is None
 
