@@ -15,7 +15,7 @@ from .errors import BadWord, CertificateFailed
 from .sequences import (EpSequence, is_admissible, lex_compare_ep,
                         require_in_Q)
 from .numeric import BetaSpec, Interval
-from .survivor import LexSubshift, membership
+from .survivor import LexSubshift, alpha_bounds, membership
 from . import words as W
 from . import numeric as N
 
@@ -69,8 +69,15 @@ def basic_interval(a):
     # (a)^inf is in Q: it holds a 1, and a is its own greatest rotation
     alpha_L = EpSequence("", a)
     s, _ = W.lyndon_rotation(a)
+    # alpha_R = a+ (s)^inf is in Q too: s holds a 1, and a, the
+    # reflection of a Lyndon word, is unbordered (Lothaire, ch. 5) and
+    # ends in 0.  For 0 < k < m = |a|, a_(k+1)..a_m a_1..a_k < a differs
+    # from a by a_m (else a border): earlier, where sigma^k alpha_R <
+    # alpha_R, or at a_m = 0, a tie in alpha_R that s^inf < w+ s^inf,
+    # w = a_(m-k+1)..a_m, breaks: s^inf, the least shift of (a)^inf, is at
+    # most w (a)^inf, so its first k digits are at most w < w+.  Later
+    # shifts are (r)^inf, r a rotation of a: (r)^inf <= (a)^inf < a+...
     alpha_R = EpSequence(W.plus(a), s)
-    require_in_Q(alpha_R)
     kind = "farey" if W.is_farey(W.reflect(a)) else "basic"
     return IntervalRecord(a, s, alpha_L, alpha_R, kind)
 
@@ -166,15 +173,13 @@ def doubling_interval(w):
 
 
 def phi(beta, horizon=N.DEFAULT_HORIZON):
-    """pi_2(alpha(beta)): exact Fraction when alpha(beta) is eventually
-    periodic, else the Interval between its horizon-digit prefix followed
-    by 0^inf and by 1^inf."""
-    seq = beta.alpha_sequence()
-    if seq is not None:
-        return N.value_at(seq, 2)
-    digits = beta.alpha_prefix(horizon)
-    return Interval(N.value_at(EpSequence(digits, "0"), 2),
-                    N.value_at(EpSequence(digits, "1"), 2))
+    """pi_2(alpha(beta)) over the alpha_bounds bracket: an exact Fraction
+    when alpha(beta) is eventually periodic, else the Interval between
+    the values of the bracket's two ends."""
+    lo, hi = alpha_bounds(beta, horizon)
+    if lo == hi:
+        return N.value_at(lo, 2)
+    return Interval(N.value_at(lo, 2), N.value_at(hi, 2))
 
 
 def generators(max_len):

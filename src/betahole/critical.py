@@ -149,8 +149,6 @@ def tau_report(beta, atlas_depth=10):
     critical hole size tau_beta."""
     if atlas_depth < 2:
         raise OutOfRange("atlas_depth must be >= 2")
-    # 1 - 1/beta rises with beta
-    one_minus = N.Interval(1 - 1 / beta.value.a, 1 - 1 / beta.value.b)
     if beta.alpha_sequence() == S.ONES:
         return TauReport(beta, "outside_closure", 0.5, 0.5,
                          {"note": "doubling map"}, atlas_depth, True)
@@ -158,29 +156,24 @@ def tau_report(beta, atlas_depth=10):
     if where == "left":
         a = found
         return TauReport(
-            beta, "left_endpoint",
-            float_down(one_minus.a), float_up(one_minus.b),
+            beta, "left_endpoint", float_down(1 - 1 / beta.value.a),
+            float_up(1 - 1 / beta.value.b),  # 1 - 1/beta rises with beta
             {"generator": a, "hole_expansion": a[::-1] + "(0)"},
             atlas_depth, True)
     if where == "inside":
         a = found
-        ts = t_star_sequence(a)
-        td = t_diamond_sequence(a)
+        ts, td = t_star_sequence(a), t_diamond_sequence(a)
         tsv = N.project(ts, beta.value)
-        tdv = N.project(td, beta.value)
-        wit = {"generator": a, "t_star": str(ts), "t_diamond": str(td)}
         # refinement: alpha(beta) below a+ (0 a_2..a_m) (a)^inf pins tau = t*
-        bound = EpSequence(W.plus(a) + "0" + a[1:], a)
-        if beta.compare(bound) < 0:
-            return TauReport(beta, "inside_farey_low",
-                             float_down(tsv.a), float_up(tsv.b),
-                             wit, atlas_depth, True)
-        return TauReport(beta, "inside_farey_high",
-                         float_down(tsv.a), float_up(tdv.b),
-                         wit, atlas_depth, True)
+        low = beta.compare(EpSequence(W.plus(a) + "0" + a[1:], a)) < 0
+        regime, top = ("inside_farey_low", tsv) if low else (
+            "inside_farey_high", N.project(td, beta.value))
+        return TauReport(beta, regime, float_down(tsv.a), float_up(top.b),
+                         {"generator": a, "t_star": str(ts),
+                          "t_diamond": str(td)}, atlas_depth, True)
     # outside every atlas interval at this depth: found >= the gap width
     return TauReport(beta, "outside_closure",
-                     0.0, float_up(one_minus.b),
+                     0.0, float_up(1 - 1 / beta.value.b),
                      {"gap": float_up(found)}, atlas_depth, False,
                      "inconclusive: atlas gap exceeds tolerance")
 

@@ -31,19 +31,13 @@ class EpSequence:
         object.__setattr__(self, "per", per)
 
     def prefix(self, n):
-        k = len(self.pre)
-        if n <= k:
-            return self.pre[:n]
-        reps = (n - k) // len(self.per) + 1
+        reps = (n - len(self.pre)) // len(self.per) + 1
         return (self.pre + self.per * reps)[:n]
 
     def shift(self, n=1):
         """sigma^n of the sequence."""
-        k = len(self.pre)
-        if n <= k:
-            return EpSequence(self.pre[n:], self.per)
-        r = (n - k) % len(self.per)
-        return EpSequence("", self.per[r:] + self.per[:r])
+        r = max(n - len(self.pre), 0) % len(self.per)
+        return EpSequence(self.pre[n:], self.per[r:] + self.per[:r])
 
     def is_zero_tail(self):
         return self.per == "0"
@@ -73,8 +67,6 @@ def lex_compare_ep(u, v):
     by Fine and Wilf two such tails that agree on p + q digits agree
     forever, so the first difference lies in that window.
     """
-    if u == v:
-        return 0
     n = max(len(u.pre), len(v.pre)) + len(u.per) + len(v.per)
     a, b = u.prefix(n), v.prefix(n)
     return (a > b) - (a < b)

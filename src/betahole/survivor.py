@@ -166,7 +166,9 @@ def _scc_spectral_radius(trans, comp):
     positive before the next ratios divide by it.  The 49 steps in
     between grow entries by at most 3^49, far from overflow.  The last x
     is certified exactly, as integers over one power of two, with the
-    extreme ratios picked by integer cross-multiplication: no pad.
+    extreme ratios picked by integer cross-multiplication: no pad.  On a
+    bare cycle (one successor per state) every ratio is 2 from the first
+    step, so the first checkpoint stops the loop and certifies exactly 1.
     """
     idx = {s: i for i, s in enumerate(comp)}
     k = len(comp)
@@ -175,9 +177,6 @@ def _scc_spectral_radius(trans, comp):
         succ = [idx[t] for t in trans[s] if t in idx] + [k, k]
         succ_a.append(succ[0])
         succ_b.append(succ[1])
-    if all(b == k for b in succ_b):
-        # one successor per state: a bare cycle, spectral radius exactly 1
-        return 1, 1
     x = [1.0] * k + [0.0]
     best_lo, best_hi = 0.0, float("inf")
     done = 0
@@ -214,22 +213,19 @@ def _scc_spectral_radius(trans, comp):
 def entropy(shift):
     """Topological entropy bracket in bits: log2 of the exact
     spectral-radius bracket of the recurrent part of the compiled
-    automaton, by one series for each end, rounded outward.
+    automaton, by one series for each end, rounded outward.  State 0
+    reaches every state, so with no cyclic component the subshift is
+    empty and the bracket stays at log2 1 = 0.
     """
     trans = compile(shift)
     cycles = recurrence(trans)
-    # state 0 reaches every state, so it has arbitrarily long paths
-    # exactly when some component holds a cycle; the spectral radius is
-    # then at least 1
-    if not cycles:
-        return EntropyBracket(0.0, 0.0, empty=True)
     lam_lo = lam_hi = 1
     for comp in cycles:
         lo, hi = _scc_spectral_radius(trans, comp)
         lam_lo = max(lam_lo, lo)
         lam_hi = max(lam_hi, hi)
     h_lo, h_hi = N._log2(lam_lo, lam_hi)
-    return EntropyBracket(float_down(h_lo), float_up(h_hi))
+    return EntropyBracket(float_down(h_lo), float_up(h_hi), not cycles)
 
 
 def membership(x, shift):
@@ -240,22 +236,11 @@ def membership(x, shift):
         lex_compare_ep(greatest, shift.upper) < 0
 
 
-class PointSpec:
-    """A hole endpoint t in [0,1), numeric or given by its greedy expansion."""
-
-    def __init__(self, value=None, seq=None):
-        if seq is not None:
-            self.seq = seq
-            self.value = None
-        else:
-            self.value = Interval(value)
-            self.seq = None
-
-    def expansion(self, beta, horizon=N.DEFAULT_HORIZON):
-        """(exact EpSequence or None, certified digit prefix)."""
-        if self.seq is not None:
-            return self.seq, self.seq.prefix(horizon)
-        return greedy_sequence(self.value, beta.value, horizon)
+class PointSpec(NamedTuple):
+    """A hole endpoint t in [0,1): a number (int, float, str or Fraction),
+    or its exact greedy expansion, an EpSequence, when seq is given."""
+    value: object = None
+    seq: EpSequence = None
 
 
 def greedy_sequence(x, beta, horizon=N.DEFAULT_HORIZON):
@@ -269,10 +254,17 @@ def greedy_sequence(x, beta, horizon=N.DEFAULT_HORIZON):
     return seq, digits
 
 
+def _bracket(seq, prefix):
+    """(low, high): (seq, seq) if seq is known, else prefix 0^inf, 1^inf."""
+    if seq is not None:
+        return seq, seq
+    return EpSequence(prefix, "0"), EpSequence(prefix, "1")
+
+
 def alpha_bounds(beta, horizon=N.DEFAULT_HORIZON):
-    """(exact alpha EpSequence or None, `horizon`-digit prefix) for a
-    BetaSpec, which keeps the digits of its expansion of 1."""
-    return beta.alpha_sequence(), beta.alpha_prefix(horizon)
+    """(low, high) bracket of alpha(beta), by _bracket, for a BetaSpec,
+    which keeps the digits of its expansion of 1."""
+    return _bracket(beta.alpha_sequence(), beta.alpha_prefix(horizon))
 
 
 class DimensionReport(NamedTuple):
@@ -289,19 +281,17 @@ def dimension(beta, t, horizon=N.DEFAULT_HORIZON):
     with hole (0, t), t a PointSpec, via Bowen's formula
     dim = h / log2(beta).
 
-    When either bound is known only to a digit horizon, the subshift is
-    bracketed between an outer automaton (bounds relaxed both ways) and
-    an inner one (bounds tightened), and the report widens accordingly.
+    The hole's (low, high) bracket comes from t.seq or greedy_sequence,
+    alpha's from alpha_bounds.  The subshift lies between an outer
+    automaton (low hole, high alpha) and an inner one (high hole, low
+    alpha), one and the same when both brackets are exact.
     """
-    a_seq, a_pref = alpha_bounds(beta, horizon)
-    t_seq, t_pref = t.expansion(beta, horizon)
-    lo_out = EpSequence(t_pref, "0") if t_seq is None else t_seq
-    lo_in = EpSequence(t_pref, "1") if t_seq is None else t_seq
-    up_out = EpSequence(a_pref, "1") if a_seq is None else a_seq
-    up_in = EpSequence(a_pref, "0") if a_seq is None else a_seq
-    exact = a_seq is not None and t_seq is not None
-    outer = entropy(LexSubshift(lo_out, up_out))
-    inner = outer if exact else entropy(LexSubshift(lo_in, up_in))
+    a_lo, a_hi = alpha_bounds(beta, horizon)
+    t_lo, t_hi = (t.seq, t.seq) if t.seq is not None else _bracket(
+        *greedy_sequence(Interval(t.value), beta.value, horizon))
+    exact = (t_lo, a_lo) == (t_hi, a_hi)
+    outer = entropy(LexSubshift(t_lo, a_hi))
+    inner = outer if exact else entropy(LexSubshift(t_hi, a_lo))
     h_lo, h_hi = inner.lower_bound, outer.upper_bound
     method = "automaton_exact" if exact else "automaton_outer_inner"
     lb = beta.log2()

@@ -110,12 +110,14 @@ def test_basic_interval_rejects():
         B.basic_interval("1010")
 
 
-def test_left_endpoint_of_every_generator_is_in_Q():
-    """basic_interval takes (a)^inf as alpha_L unchecked: a generator
-    holds a 1 and is its own greatest rotation, so (a)^inf is in Q."""
+def test_both_endpoints_of_every_generator_are_in_Q():
+    """basic_interval takes both endpoints unchecked: a generator holds a
+    1 and is its own greatest rotation, so (a)^inf is in Q, and
+    alpha_R = a+ (s)^inf is in Q by the proof in basic_interval."""
     gens = B.generators(14)
     assert len(gens) == 2536
     assert all(is_in_Q(EpSequence("", a)) for a in gens)
+    assert all(is_in_Q(B.basic_interval(a).alpha_R) for a in gens)
 
 
 def test_farey_interval():

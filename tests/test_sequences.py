@@ -44,8 +44,9 @@ def test_parse_roundtrip():
 @given(pre_st, per_st)
 def test_canonical_preserves_digits(pre, per):
     s = EpSequence(pre, per)
-    raw = (pre + per * 30)[:20]
-    assert s.prefix(20) == raw
+    raw = pre + per * 30
+    for n in range(21):
+        assert s.prefix(n) == raw[:n], n
 
 
 @given(pre_st, per_st, st.integers(0, 10))
